@@ -105,7 +105,7 @@ func newFlightRecorder(cfg Config) *flightRecorder {
 }
 
 // record appends one completed request and fires a capture if it trips a
-// trigger. Called once per request, after the response is written.
+// trigger. Called once per request, before the response is written.
 func (fr *flightRecorder) record(rec FlightRecord) {
 	reason := fr.triggerReason(rec)
 	fr.mu.Lock()
