@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+
+	"parmem/internal/alloccache"
 )
 
 func openT(t *testing.T, dir string, mut func(*Options)) *Store {
@@ -28,6 +31,30 @@ func put(t *testing.T, s *Store, key, val string) {
 	s.Put(key, []byte(val))
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
+	}
+}
+
+func TestPutsCountedByLevel(t *testing.T) {
+	s := openT(t, t.TempDir(), nil)
+	key := func(level, x string) string {
+		k := alloccache.NewKey(nil)
+		k.Str(level)
+		k.Str(x)
+		return k.String()
+	}
+	put(t, s, key("assign", "a"), "12345")
+	put(t, s, key("assign", "b"), "1")
+	put(t, s, key("atomcolor", "a"), "123")
+	st := s.Stats()
+	if st.Puts != 3 || len(st.Levels) != 2 || st.Levels["assign"].Puts != 2 || st.Levels["atomcolor"].Puts != 1 {
+		t.Fatalf("puts by level = %+v (total %d), want assign 2, atomcolor 1", st.Levels, st.Puts)
+	}
+	var bytes int64
+	for _, ls := range st.Levels {
+		bytes += ls.Bytes
+	}
+	if fi, err := os.Stat(s.Path()); err != nil || bytes+headerLen != fi.Size() {
+		t.Fatalf("bytes by level sum to %d, log is %v bytes (err %v)", bytes, fi, err)
 	}
 }
 
@@ -353,7 +380,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st != (Stats{}) {
+	if st := s.Stats(); !reflect.DeepEqual(st, Stats{}) {
 		t.Fatalf("nil stats: %+v", st)
 	}
 }

@@ -90,7 +90,8 @@ const (
 	// Persistent disk cache tier (scraped from diskcache.Stats by a collector).
 	MDiskHits        = "parmem_diskcache_hits_total"         // counter: records served from the log
 	MDiskMisses      = "parmem_diskcache_misses_total"       // counter: lookups the log could not serve
-	MDiskPuts        = "parmem_diskcache_puts_total"         // counter: records appended
+	MDiskPuts        = "parmem_diskcache_puts_total"         // counter{level}: records appended
+	MDiskPutBytes    = "parmem_diskcache_put_bytes_total"    // counter{level}: bytes appended
 	MDiskDroppedPuts = "parmem_diskcache_dropped_puts_total" // counter: writes dropped (full queue / read-only)
 	MDiskCorruptGets = "parmem_diskcache_corrupt_gets_total" // counter: reads rejected by CRC re-verification
 	MDiskCompactions = "parmem_diskcache_compactions_total"  // counter: log compactions completed
@@ -153,7 +154,8 @@ var metricHelp = map[string]string{
 
 	MDiskHits:        "Disk cache records served from the append log.",
 	MDiskMisses:      "Disk cache lookups the append log could not serve.",
-	MDiskPuts:        "Disk cache records appended to the log.",
+	MDiskPuts:        "Disk cache records appended to the log, by memo level.",
+	MDiskPutBytes:    "Disk cache bytes appended to the log, by memo level.",
 	MDiskDroppedPuts: "Disk cache writes dropped (full write-behind queue or read-only store).",
 	MDiskCorruptGets: "Disk cache reads rejected by CRC re-verification.",
 	MDiskCompactions: "Disk cache log compactions completed.",
