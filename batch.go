@@ -124,7 +124,7 @@ func runBatch(rec *Recorder, workers, n int, fn func(i int)) {
 // of parallelism and peak memory stays proportional to the worker count.
 // All items share one budget meter holding len(srcs) times the per-item
 // node budget — see Allocation.Phases on each result for what its item
-// spent — and share opt.Cache when one is set, which is where batch
+// spent — and share opt.Store when one is set, which is where batch
 // throughput on similar inputs comes from. A canceled ctx aborts in-flight
 // and not-yet-started items with errors wrapping ErrCanceled; finished
 // items keep their results.
@@ -134,7 +134,7 @@ func CompileBatch(ctx context.Context, srcs []string, opt Options) []BatchResult
 		return results
 	}
 	if ctx == nil {
-		ctx = opt.ctx()
+		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
 	if err := opt.validate(); err != nil {
@@ -144,13 +144,12 @@ func CompileBatch(ctx context.Context, srcs []string, opt Options) []BatchResult
 		return results
 	}
 	inner := opt
-	inner.Ctx = ctx
 	inner.meter = newBatchMeter(ctx, opt.Budget, len(srcs))
 	if len(srcs) > 1 {
 		inner.Workers = 1
 	}
 	runBatch(opt.Telemetry, batchWorkers(opt.Workers, len(srcs)), len(srcs), func(i int) {
-		p, err := Compile(srcs[i], inner)
+		p, err := compile(ctx, srcs[i], inner)
 		results[i] = BatchResult{Program: p, Err: err}
 	})
 	return results

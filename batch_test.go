@@ -200,14 +200,14 @@ func TestCompileBatchEmpty(t *testing.T) {
 func TestCompileBatchSharedCache(t *testing.T) {
 	src := batchSources()[0]
 	srcs := []string{src, src, src, src}
-	cache := NewAllocCache(0)
-	results := CompileBatch(context.Background(), srcs, Options{Modules: 8, Workers: 1, Cache: cache})
+	store := memStore(t)
+	results := CompileBatch(context.Background(), srcs, Options{Modules: 8, Workers: 1, Store: store})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
 	}
-	st := cache.Stats()
+	st := store.Stats()
 	if st.Hits == 0 {
 		t.Fatalf("no cache hits across identical batch items: %+v", st)
 	}

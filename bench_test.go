@@ -30,6 +30,7 @@ import (
 	"parmem/internal/conflict"
 	"parmem/internal/duplication"
 	"parmem/internal/graph"
+	"parmem/internal/oracle"
 	"parmem/internal/stats"
 )
 
@@ -216,7 +217,7 @@ func BenchmarkAssignParallel(b *testing.B) {
 // after the first (cold) assignment every iteration is a whole-assignment
 // cache hit.
 func BenchmarkAssignCached(b *testing.B) {
-	benchAssignEngine(b, AssignConfig{Workers: 0, Cache: NewAllocCache(0)})
+	benchAssignEngine(b, AssignConfig{Workers: 0, Store: memStore(b)})
 }
 
 // ------------------------------------------------------- complexity claims
@@ -512,8 +513,8 @@ func BenchmarkAblationColoring(b *testing.B) {
 	g := randomConflictGraph(rand.New(rand.NewSource(11)), 300, 14)
 	algos := map[string]func() coloring.Result{
 		"gupta-soffa": func() coloring.Result { return coloring.GuptaSoffa(g, coloring.Options{K: 8}) },
-		"dsatur":      func() coloring.Result { return coloring.DSATUR(g, 8) },
-		"first-fit":   func() coloring.Result { return coloring.FirstFit(g, 8) },
+		"dsatur":      func() coloring.Result { return oracle.DSATUR(g, 8) },
+		"first-fit":   func() coloring.Result { return oracle.FirstFit(g, 8) },
 	}
 	for _, name := range []string{"gupta-soffa", "dsatur", "first-fit"} {
 		b.Run(name, func(b *testing.B) {
@@ -670,7 +671,7 @@ func BenchmarkAblationExactDuplication(b *testing.B) {
 	}
 	in := duplication.Input{Instrs: instrs, Assigned: assigned, Unassigned: unassigned, K: 3}
 	algos := map[string]func(duplication.Input) (duplication.Result, error){
-		"exact":      duplication.ExactMinCopies,
+		"exact":      oracle.ExactMinCopies,
 		"hittingset": duplication.HittingSetApproach,
 		"backtrack":  duplication.Backtrack,
 	}

@@ -7,18 +7,17 @@ import (
 
 // This file is the public cache surface: CacheConfig declares the cache
 // tiers a caller wants, OpenCacheStore builds them, and the CacheStore
-// handle is what flows through Options.Store / AssignConfig.Store. It
-// replaces hand-wiring an *AllocCache (which remains supported through
-// the deprecated Cache fields): a CacheStore owns the composition of the
-// in-memory memo table with the optional persistent disk tier, including
-// lifecycle (Close flushes and unlocks the disk log).
+// handle is what flows through Options.Store / AssignConfig.Store. A
+// CacheStore owns the composition of the in-memory memo table with the
+// optional persistent disk tier, including lifecycle (Close flushes and
+// unlocks the disk log).
 
 // EngineVersion names the memo-compatibility generation of the engine.
 // Every record the disk tier writes is keyed under it, so a cache
 // directory written by an incompatible engine build reads as empty —
 // never as wrong answers. Bump it whenever cache keys, entry encodings
 // or the semantics behind them change.
-const EngineVersion = "parmem/2026-08"
+const EngineVersion = "parmem/2026-10"
 
 // DiskCacheStats is a snapshot of the persistent tier's counters.
 type DiskCacheStats = diskcache.Stats
@@ -46,8 +45,8 @@ type CacheConfig struct {
 // compilations. Close releases the disk tier (flushing pending writes);
 // a memory-only store's Close is a no-op.
 type CacheStore interface {
-	// Cache returns the in-memory tier, for APIs that want the raw memo
-	// table (the deprecated Options.Cache path uses the same type).
+	// Cache returns the in-memory tier, the memo table the engine reads
+	// and writes.
 	Cache() *AllocCache
 	// Stats snapshots the memory tier's counters, including the
 	// BackingHits/BackingMisses traffic into the disk tier.
@@ -115,13 +114,10 @@ func (s *cacheStore) Close() error {
 	return s.disk.Close()
 }
 
-// storeCache resolves the cache an API call should use: the Store's
-// memory tier when one is set, else the deprecated direct Cache field.
-func storeCache(store CacheStore, cache *AllocCache) *AllocCache {
-	if store != nil {
-		if c := store.Cache(); c != nil {
-			return c
-		}
+// storeCache returns the memory tier of store, nil when store is nil.
+func storeCache(store CacheStore) *AllocCache {
+	if store == nil {
+		return nil
 	}
-	return cache
+	return store.Cache()
 }

@@ -107,23 +107,14 @@ func TestDiskCacheStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-func TestStoreWinsOverDeprecatedCache(t *testing.T) {
+// memStore opens a memory-only CacheStore.
+func memStore(tb testing.TB) CacheStore {
+	tb.Helper()
 	st, err := OpenCacheStore(CacheConfig{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer st.Close()
-	legacy := NewAllocCache(0)
-	src := benchprog.All()[0].Source
-	if _, err := Compile(src, Options{Store: st, Cache: legacy}); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats().Misses != 0 || legacy.Stats().Entries != 0 {
-		t.Fatalf("deprecated Cache was used despite Store being set: %+v", legacy.Stats())
-	}
-	if st.Stats().Misses == 0 {
-		t.Fatalf("Store was not used: %+v", st.Stats())
-	}
+	return st
 }
 
 func TestReadOnlyStoreServesButNeverWrites(t *testing.T) {

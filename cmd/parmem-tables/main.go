@@ -96,27 +96,21 @@ func main() {
 	// each under three strategies), which is exactly the workload the
 	// allocation cache exists for.
 	opts := []parmem.ExperimentOption{parmem.WithWorkers(*workers), parmem.WithTelemetry(rec)}
-	var alcache *parmem.AllocCache
 	var store parmem.CacheStore
-	switch {
-	case *cacheDir != "":
+	if *cacheDir != "" || *useCache {
 		store, err = parmem.OpenCacheStore(parmem.CacheConfig{DiskPath: *cacheDir})
 		if err != nil {
 			fatal(err)
 		}
 		closeStore = func() { store.Close() }
 		defer closeStore()
-		alcache = store.Cache()
 		opts = append(opts, parmem.WithCacheStore(store))
-	case *useCache:
-		alcache = parmem.NewAllocCache(0)
-		opts = append(opts, parmem.WithAllocCache(alcache))
 	}
 
 	if *batchGlob != "" {
-		printBatch(ctx, *batchGlob, *k, *workers, store, alcache, rec)
-		if *cacheStats && alcache != nil {
-			printCacheStats(alcache)
+		printBatch(ctx, *batchGlob, *k, *workers, store, rec)
+		if *cacheStats && store != nil {
+			printCacheStats(store)
 		}
 		return
 	}
@@ -142,15 +136,15 @@ func main() {
 	if all || *figures {
 		printFigures()
 	}
-	if *cacheStats && alcache != nil {
-		printCacheStats(alcache)
+	if *cacheStats && store != nil {
+		printCacheStats(store)
 	}
 }
 
 // printCacheStats prints the aggregate counters plus the per-memo-level
 // breakdown (whole assignments, duplication phases, atom colorings).
-func printCacheStats(c *parmem.AllocCache) {
-	st := c.Stats()
+func printCacheStats(store parmem.CacheStore) {
+	st := store.Stats()
 	fmt.Printf("allocation cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
 	for _, lv := range []string{"assign", "dup", "atomcolor"} {
 		if ls, ok := st.Levels[lv]; ok {
@@ -161,7 +155,7 @@ func printCacheStats(c *parmem.AllocCache) {
 
 // printBatch compiles every file matching the glob through the batch
 // compiler and prints a Table-1-style allocation row per file.
-func printBatch(ctx context.Context, pattern string, k, workers int, store parmem.CacheStore, cache *parmem.AllocCache, rec *parmem.Recorder) {
+func printBatch(ctx context.Context, pattern string, k, workers int, store parmem.CacheStore, rec *parmem.Recorder) {
 	files, err := filepath.Glob(pattern)
 	if err != nil {
 		fatal(err)
@@ -178,7 +172,7 @@ func printBatch(ctx context.Context, pattern string, k, workers int, store parme
 		}
 		srcs[i] = string(b)
 	}
-	results := parmem.CompileBatch(ctx, srcs, parmem.Options{Modules: k, Workers: workers, Store: store, Cache: cache, Telemetry: rec})
+	results := parmem.CompileBatch(ctx, srcs, parmem.Options{Modules: k, Workers: workers, Store: store, Telemetry: rec})
 	fmt.Printf("Batch allocation (k=%d, %d files)\n\n", k, len(files))
 	fmt.Printf("%-24s %8s %8s %8s %6s\n", "file", "single", "multi", "copies", "words")
 	failed := false

@@ -17,10 +17,9 @@
 // trace_event file of the pipeline (open in chrome://tracing or Perfetto);
 // -metrics dumps the engine metrics to stderr on exit; -telemetry-addr
 // serves /metrics, /debug/vars and /debug/pprof live (-telemetry-linger
-// keeps it up after the run); -reference runs the map-graph reference
-// assignment phases instead of the dense core (ablation); -cache-dir
-// persists the allocation cache across runs, so recompiling the same
-// program skips its coloring and duplication searches entirely.
+// keeps it up after the run); -cache-dir persists the allocation cache
+// across runs, so recompiling the same program skips its coloring and
+// duplication searches entirely.
 //
 // -batch treats every positional argument as a file or glob pattern and
 // streams the expanded file list through the batch compiler (one bounded
@@ -81,7 +80,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "assignment worker pool size (0 = one per CPU, 1 = sequential)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		reference  = flag.Bool("reference", false, "use the map-graph reference assignment phases (ablation)")
 		cacheDir   = flag.String("cache-dir", "", "persist the allocation cache here; later runs reuse earlier results")
 	)
 	tcfg := telemetrycli.Flags(flag.CommandLine)
@@ -118,7 +116,6 @@ func main() {
 		DisableAtoms:    *noAtoms,
 		DisableRenaming: *noRename,
 		Workers:         *workers,
-		Reference:       *reference,
 		Telemetry:       rec,
 	}
 	switch *strategy {
@@ -278,8 +275,14 @@ func runBatch(ctx context.Context, args []string, opt parmem.Options) {
 		}
 		srcs[i] = string(b)
 	}
-	if opt.Cache == nil && opt.Store == nil {
-		opt.Cache = parmem.NewAllocCache(0) // batch items share subproblems
+	if opt.Store == nil {
+		// Batch items share subproblems; a memory-only store holds nothing
+		// that needs closing.
+		store, err := parmem.OpenCacheStore(parmem.CacheConfig{})
+		if err != nil {
+			fatal(err)
+		}
+		opt.Store = store
 	}
 	results := parmem.CompileBatch(ctx, srcs, opt)
 	failed, degraded, canceled := 0, 0, false

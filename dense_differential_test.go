@@ -3,7 +3,8 @@ package parmem
 // Differential testing of the dense graph core: every compilation must
 // produce a bit-identical allocation whether the hot assignment phases run
 // on the dense CSR/bitset snapshot (the default) or on the map-backed
-// reference implementations (Options.Reference). This is the pipeline-level
+// reference implementations in internal/oracle, swapped in through
+// assign.SetBackends. This is the pipeline-level
 // proof of the determinism contract stated on graph.Dense — unit tests pin
 // the individual algorithms, this pins their composition, including the
 // sequential and parallel engines.
@@ -13,8 +14,17 @@ import (
 	"reflect"
 	"testing"
 
+	"parmem/internal/assign"
 	"parmem/internal/benchprog"
+	"parmem/internal/oracle"
 )
+
+// useOracleBackends swaps the engine's clique-separator decomposition and
+// urgency coloring for the map-graph references in internal/oracle until
+// the returned func runs. Tests that call it must not run in parallel.
+func useOracleBackends() (restore func()) {
+	return assign.SetBackends(oracle.DecomposeParallelRef, oracle.GuptaSoffaMap)
+}
 
 // allocFingerprint flattens the determinism-relevant allocation fields into
 // a comparable value. Copies is a map; it compares by DeepEqual. Phase
@@ -85,13 +95,13 @@ func denseDiffConfigs() []Options {
 
 func assertSameAllocation(t *testing.T, label string, opt Options, src string) {
 	t.Helper()
-	optRef := opt
-	optRef.Reference = true
 	pd, err := Compile(src, opt)
 	if err != nil {
 		t.Fatalf("%s (%+v): dense compile: %v", label, opt, err)
 	}
-	pr, err := Compile(src, optRef)
+	restore := useOracleBackends()
+	pr, err := Compile(src, opt)
+	restore()
 	if err != nil {
 		t.Fatalf("%s (%+v): reference compile: %v", label, opt, err)
 	}
@@ -158,7 +168,9 @@ func TestDenseBackendAssignValues(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: dense assign: %v", iter, err)
 			}
-			ar, err := AssignValues(nil, instrs, AssignConfig{K: k, Method: method, Reference: true})
+			restore := useOracleBackends()
+			ar, err := AssignValues(nil, instrs, AssignConfig{K: k, Method: method})
+			restore()
 			if err != nil {
 				t.Fatalf("iter %d: reference assign: %v", iter, err)
 			}

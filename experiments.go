@@ -30,7 +30,7 @@ func BenchmarkSource(name string) (string, error) {
 
 // ExperimentOption adjusts the compile Options an experiment driver uses
 // for every compilation it performs. The drivers recompile the benchmark
-// suite many times over, so WithWorkers and WithAllocCache are the
+// suite many times over, so WithWorkers and WithCacheStore are the
 // natural knobs: the first sizes the parallel assignment engine, the
 // second lets repeated compiles of the same sources skip their coloring
 // and duplication searches entirely.
@@ -40,16 +40,6 @@ type ExperimentOption func(*Options)
 // driver run.
 func WithWorkers(n int) ExperimentOption {
 	return func(o *Options) { o.Workers = n }
-}
-
-// WithAllocCache shares one allocation cache across every compilation of
-// an experiment driver run (and, when the same cache is passed to several
-// runs, across runs).
-//
-// Deprecated: use WithCacheStore, which also composes the persistent
-// disk tier. WithAllocCache is still honored when no store is set.
-func WithAllocCache(c *AllocCache) ExperimentOption {
-	return func(o *Options) { o.Cache = c }
 }
 
 // WithCacheStore shares one CacheStore (see OpenCacheStore) across every

@@ -303,8 +303,8 @@ func TestCancellationFuzz(t *testing.T) {
 		// Sweep the countdown so cancellation lands in different phases.
 		for _, polls := range []int64{1, 2, 3, 5, 8} {
 			ctx := &countdownCtx{Context: context.Background(), remaining: polls}
-			opt := Options{Modules: 4, Method: Backtrack, Ctx: ctx}
-			p, err := Compile(src, opt)
+			opt := Options{Modules: 4, Method: Backtrack}
+			p, err := CompileCtx(ctx, src, opt)
 			if err != nil {
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("seed %d polls %d: compile failed with non-cancellation error: %v\n%s",
@@ -312,7 +312,7 @@ func TestCancellationFuzz(t *testing.T) {
 				}
 				continue
 			}
-			if _, err := p.Run(RunOptions{MaxWords: 5_000_000}); err != nil && !errors.Is(err, ErrCanceled) {
+			if _, err := p.RunCtx(ctx, RunOptions{MaxWords: 5_000_000}); err != nil && !errors.Is(err, ErrCanceled) {
 				t.Fatalf("seed %d polls %d: run failed with non-cancellation error: %v\n%s",
 					seed, polls, err, src)
 			}

@@ -133,12 +133,6 @@ type Options struct {
 	// computation would have produced — and may be shared by concurrent
 	// assignments.
 	Cache *alloccache.Cache
-	// Reference runs the map-graph reference implementations of the
-	// coloring heuristic and the clique-separator decomposition instead of
-	// the dense-core ones. Both backends are bit-identical (enforced by the
-	// differential pipeline tests); the knob exists for those tests and for
-	// ablation benchmarks.
-	Reference bool
 	// Telemetry records spans and metrics for this assignment. nil (the
 	// default) disables all instrumentation at zero cost: every telemetry
 	// operation on a nil recorder is a no-op.
@@ -146,6 +140,24 @@ type Options struct {
 	// Parent, when Telemetry is set, nests the assignment's root span under
 	// an outer pipeline span (the compile driver's).
 	Parent *telemetry.Span
+}
+
+// decompose and color are the clique-separator decomposition and the
+// urgency coloring every phase runs. Only SetBackends changes them.
+var (
+	decompose = atoms.DecomposeParallel
+	color     = coloring.GuptaSoffa
+)
+
+// SetBackends swaps the decomposition and coloring functions the engine
+// runs and returns a func restoring the previous pair. It is the seam the
+// differential tests use to run the whole pipeline on the map-graph
+// reference implementations in internal/oracle; it must not be called
+// while an assignment runs.
+func SetBackends(dec func(g *graph.Graph, workers int) atoms.Decomposition, col func(g *graph.Graph, opt coloring.Options) coloring.Result) (restore func()) {
+	pd, pc := decompose, color
+	decompose, color = dec, col
+	return func() { decompose, color = pd, pc }
 }
 
 // validate rejects option values that would otherwise trip internal
@@ -374,7 +386,7 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 
 	if opt.DisableAtoms {
 		csp := st.rec.StartSpan("color", st.span)
-		res := coloring.GuptaSoffa(work, coloring.Options{K: opt.K, Precolored: pre, Pick: opt.Pick, Reference: opt.Reference})
+		res := color(work, coloring.Options{K: opt.K, Precolored: pre, Pick: opt.Pick})
 		if csp != nil {
 			csp.SetAttr("nodes", int64(work.NumNodes()))
 			csp.SetAttr("unassigned", int64(len(res.Unassigned)))
@@ -393,10 +405,6 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 	// worker pool; both produce identical results.
 	// The decomposition itself fans out per connected component (merged in
 	// component order, so it too is deterministic).
-	decompose := atoms.DecomposeParallel
-	if opt.Reference {
-		decompose = atoms.DecomposeParallelRef
-	}
 	dsp := st.rec.StartSpan("decompose", st.span)
 	dec := decompose(work, opt.workerCount())
 	st.atoms += len(dec.Atoms)

@@ -118,7 +118,6 @@ func incrSig(opt Options) string {
 	k.Int(opt.K)
 	k.Int(int(opt.Method))
 	k.Int(int(opt.Pick))
-	k.Int(boolBit(opt.Reference))
 	k.Int(boolBit(opt.DisableAtoms))
 	return k.String()
 }
@@ -225,7 +224,6 @@ func compKey(instrs []conflict.Instruction, opt Options) string {
 	k.Int(opt.K)
 	k.Int(int(opt.Method))
 	k.Int(int(opt.Pick))
-	k.Int(boolBit(opt.Reference))
 	k.Int(boolBit(opt.DisableAtoms))
 	k.Int(len(instrs))
 	for _, instr := range instrs {

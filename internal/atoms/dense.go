@@ -10,13 +10,13 @@ import (
 )
 
 // mcsmDense is MCS-M on the frozen dense graph core. The map-backed
-// implementation (mcsmRef) allocates a weight map, a visited map and a
+// implementation (oracle.MCSMRef) allocates a weight map, a visited map and a
 // sorted neighbor slice per elimination step; this version runs the same
 // algorithm over index-addressed scratch arrays reused across steps.
 //
 // Dense indices ascend with original ids, so every id-based tie-break
 // (heap pops, bottleneck extract-min, bumped-vertex ordering) is preserved
-// and the returned ordering and fill are bit-identical to mcsmRef's.
+// and the returned ordering and fill are bit-identical to oracle.MCSMRef's.
 func mcsmDense(d *graph.Dense, sc *arena.Scratch) Triangulation {
 	n := d.N()
 	weight := sc.Ints(n)

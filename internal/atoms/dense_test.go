@@ -1,11 +1,13 @@
-package atoms
+package atoms_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"parmem/internal/atoms"
 	"parmem/internal/graph"
+	"parmem/internal/oracle"
 )
 
 func randomAtomGraph(r *rand.Rand, n int, p float64) *graph.Graph {
@@ -24,15 +26,15 @@ func randomAtomGraph(r *rand.Rand, n int, p float64) *graph.Graph {
 }
 
 // TestMCSMDenseMatchesRef proves the dense MCS-M bit-identical to the
-// map-backed reference: same elimination order and same fill edges for
+// map-backed reference in internal/oracle: same elimination order and same fill edges for
 // every random input.
 func TestMCSMDenseMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	for iter := 0; iter < 120; iter++ {
 		n := r.Intn(30)
 		g := randomAtomGraph(r, n, r.Float64()*0.5)
-		want := MCSMRef(g)
-		got := MCSM(g)
+		want := oracle.MCSMRef(g)
+		got := atoms.MCSM(g)
 		if !reflect.DeepEqual(got.Order, want.Order) {
 			t.Fatalf("iter %d: order %v, want %v\n%s", iter, got.Order, want.Order, g)
 		}
@@ -50,8 +52,8 @@ func TestDecomposeDenseMatchesRef(t *testing.T) {
 	for iter := 0; iter < 80; iter++ {
 		n := r.Intn(26)
 		g := randomAtomGraph(r, n, r.Float64()*0.4)
-		want := DecomposeRef(g)
-		got := Decompose(g)
+		want := oracle.DecomposeRef(g)
+		got := atoms.Decompose(g)
 		if len(got.Atoms) != len(want.Atoms) {
 			t.Fatalf("iter %d: %d atoms, want %d\n%s", iter, len(got.Atoms), len(want.Atoms), g)
 		}
@@ -90,8 +92,8 @@ func TestDecomposeParallelRefMatches(t *testing.T) {
 		}
 		base += 10
 	}
-	want := DecomposeRef(g)
-	got := DecomposeParallelRef(g, 4)
+	want := oracle.DecomposeRef(g)
+	got := oracle.DecomposeParallelRef(g, 4)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parallel ref decomposition diverged")
 	}

@@ -14,22 +14,12 @@ import (
 // and the per-component results are merged in component order, so the
 // output is bit-identical to Decompose's for every input.
 func DecomposeParallel(g *graph.Graph, workers int) Decomposition {
-	return decomposeParallelWith(g, workers, decomposeConnectedDense)
-}
-
-// DecomposeParallelRef is DecomposeParallel on the map-backed reference
-// implementation (see DecomposeRef).
-func DecomposeParallelRef(g *graph.Graph, workers int) Decomposition {
-	return decomposeParallelWith(g, workers, decomposeConnectedRef)
-}
-
-func decomposeParallelWith(g *graph.Graph, workers int, fn decomposeFunc) Decomposition {
 	comps := g.ConnectedComponents()
 	if workers > len(comps) {
 		workers = len(comps)
 	}
 	if workers <= 1 || len(comps) < 2 {
-		return decomposeWith(g, fn)
+		return Decompose(g)
 	}
 
 	parts := make([]Decomposition, len(comps))
@@ -53,7 +43,7 @@ func decomposeParallelWith(g *graph.Graph, workers int, fn decomposeFunc) Decomp
 							panics[i] = r
 						}
 					}()
-					fn(g.Induced(comps[i]), &parts[i], sc)
+					decomposeConnectedDense(g.Induced(comps[i]), &parts[i], sc)
 				}()
 				sc.Reset()
 			}

@@ -196,51 +196,6 @@ func TestCheckProper(t *testing.T) {
 	}
 }
 
-func TestDSATUR(t *testing.T) {
-	if res := DSATUR(completeGraph(4), 3); len(res.Unassigned) != 1 {
-		t.Fatalf("DSATUR K4/3: unassigned = %v", res.Unassigned)
-	}
-	// Even cycle is 2-colorable and DSATUR finds it.
-	g := cycleGraph(8)
-	res := DSATUR(g, 2)
-	if len(res.Unassigned) != 0 {
-		t.Fatalf("DSATUR C8/2: unassigned = %v", res.Unassigned)
-	}
-	if err := CheckProper(g, res.Assign); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFirstFit(t *testing.T) {
-	g := cycleGraph(5)
-	res := FirstFit(g, 3)
-	if len(res.Unassigned) != 0 {
-		t.Fatalf("FirstFit C5/3: unassigned = %v", res.Unassigned)
-	}
-	if err := CheckProper(g, res.Assign); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExactMinRemoved(t *testing.T) {
-	if res := ExactMinRemoved(completeGraph(5), 3); len(res.Unassigned) != 2 {
-		t.Fatalf("exact K5/3 removed = %v, want 2", res.Unassigned)
-	}
-	// Odd cycle with 2 colors: removing any single vertex suffices.
-	res := ExactMinRemoved(cycleGraph(5), 2)
-	if len(res.Unassigned) != 1 {
-		t.Fatalf("exact C5/2 removed = %v, want 1", res.Unassigned)
-	}
-	g := cycleGraph(5)
-	if err := CheckProper(g, res.Assign); err != nil {
-		t.Fatal(err)
-	}
-	// 3-colorable graph: nothing removed.
-	if res := ExactMinRemoved(cycleGraph(7), 3); len(res.Unassigned) != 0 {
-		t.Fatalf("exact C7/3 removed = %v, want 0", res.Unassigned)
-	}
-}
-
 func randomGraph(r *rand.Rand, n int, p float64) *graph.Graph {
 	g := graph.New()
 	for i := 0; i < n; i++ {
@@ -286,43 +241,6 @@ func TestGuptaSoffaInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Property: the heuristic never beats the exact optimum (sanity check of
-// both implementations on small graphs).
-func TestHeuristicVsExactProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 2 + r.Intn(2)
-		g := randomGraph(r, 3+r.Intn(9), 0.3+r.Float64()*0.4)
-		h := GuptaSoffa(g, Options{K: k})
-		e := ExactMinRemoved(g, k)
-		if len(h.Unassigned) < len(e.Unassigned) {
-			t.Logf("seed %d: heuristic %d < exact %d", seed, len(h.Unassigned), len(e.Unassigned))
-			return false
-		}
-		return CheckProper(g, e.Assign) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHeuristicSuboptimalExists documents that the heuristic is not optimal:
-// there is some instance where it removes more nodes than the exact
-// algorithm (the paper proves a worst-case ratio of (n-k)/2).
-func TestHeuristicSuboptimalExists(t *testing.T) {
-	r := rand.New(rand.NewSource(12345))
-	for i := 0; i < 400; i++ {
-		k := 2 + r.Intn(2)
-		g := randomGraph(r, 6+r.Intn(8), 0.4+r.Float64()*0.3)
-		h := GuptaSoffa(g, Options{K: k})
-		e := ExactMinRemoved(g, k)
-		if len(h.Unassigned) > len(e.Unassigned) {
-			return // found a witness: heuristic is suboptimal, as the paper states
-		}
-	}
-	t.Fatal("no instance found where the heuristic is suboptimal; either the heuristic became exact (unlikely) or the search is broken")
 }
 
 // Property: precolored nodes survive in the output with their exact module.

@@ -12,10 +12,10 @@ import (
 // arrays once, and the selection loop runs over index-addressed scratch
 // slices instead of per-iteration maps and sorted copies.
 //
-// It is bit-identical to guptaSoffaMap for every input: dense indices are
-// assigned in ascending id order, so every "lowest id first" tie-break of
-// the map implementation is "lowest index first" here, and both scan
-// candidates in that same order.
+// It is bit-identical to oracle.GuptaSoffaMap for every input: dense
+// indices are assigned in ascending id order, so every "lowest id first"
+// tie-break of the map implementation is "lowest index first" here, and
+// both scan candidates in that same order.
 func guptaSoffaDense(g *graph.Graph, opt Options) Result {
 	k := opt.K
 	if k < 1 {

@@ -76,15 +76,6 @@ func baseCopies(in Input) Copies {
 	return c
 }
 
-// unassignedSet returns the membership set of in.Unassigned.
-func unassignedSet(in Input) map[int]bool {
-	set := make(map[int]bool, len(in.Unassigned))
-	for _, v := range in.Unassigned {
-		set[v] = true
-	}
-	return set
-}
-
 // finishResult fills in Residual and NewCopies and guarantees that every
 // unassigned value has at least one copy (a value that appears in no
 // conflicting instruction still needs storage somewhere).

@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-// TestHasSDRMatchesRef fuzzes the allocation-free bipartite matcher against
-// the original map-and-slice implementation.
-func TestHasSDRMatchesRef(t *testing.T) {
-	r := rand.New(rand.NewSource(30))
-	for iter := 0; iter < 5000; iter++ {
-		k := 1 + r.Intn(10)
-		nvals := 1 + r.Intn(12)
-		copies := make(Copies, nvals)
-		values := make([]int, nvals)
-		for i := range values {
-			values[i] = i
-			if r.Intn(4) > 0 { // some values stay wildcards
-				var s ModSet
-				for m := 0; m < k; m++ {
-					if r.Intn(3) == 0 {
-						s = s.Add(m)
-					}
-				}
-				copies[i] = s
-			}
-		}
-		if got, want := HasSDR(values, copies), hasSDRRef(values, copies); got != want {
-			t.Fatalf("iter %d: HasSDR = %v, ref %v (copies %v)", iter, got, want, copies)
-		}
-	}
-}
-
 // TestConflictFreeWithMatchesClone checks the virtual-placement SDR test
 // against the clone-and-check formulation it replaced in the backtracking
 // leaf.
@@ -110,17 +83,6 @@ func BenchmarkDuplicationDense(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, ops := range sets {
 			HasSDR(ops, copies)
-		}
-	}
-}
-
-func BenchmarkDuplicationMap(b *testing.B) {
-	sets, copies := benchSDRInputs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, ops := range sets {
-			hasSDRRef(ops, copies)
 		}
 	}
 }

@@ -447,105 +447,3 @@ func TestStrategiesDeterministicProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestExactMinCopiesFig8(t *testing.T) {
-	// Fig. 8: the optimum is 3 copies of V4 (7 total), matching the
-	// paper's solution 2.
-	instrs := []conflict.Instruction{
-		{1, 2, 3, 5}, {4, 2, 3, 5}, {1, 2, 3, 4}, {4, 2, 1, 5},
-	}
-	in := Input{
-		Instrs:     instrs,
-		Assigned:   map[int]int{1: 1, 2: 3, 3: 2, 5: 0},
-		Unassigned: []int{4},
-		K:          4,
-	}
-	res, err := ExactMinCopies(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllFree(t, instrs, res)
-	if res.Copies.TotalCopies() != 7 {
-		t.Fatalf("optimal total copies = %d, want 7", res.Copies.TotalCopies())
-	}
-	if res.Copies[4].Count() != 3 {
-		t.Fatalf("V4 copies = %d, want 3", res.Copies[4].Count())
-	}
-}
-
-func TestExactNeverWorseThanHeuristicsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		k := 2 + r.Intn(3)
-		instrs := randomInstrs(r, 4+r.Intn(5), 3+r.Intn(8), k)
-		g := conflict.Build(instrs)
-		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
-		if len(col.Unassigned) > 4 {
-			return true // keep the exact search tractable
-		}
-		in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
-		exact, err := ExactMinCopies(in)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		if len(exact.Residual) != 0 {
-			t.Logf("seed %d: exact left residual %v", seed, exact.Residual)
-			return false
-		}
-		bt, err1 := Backtrack(in)
-		hs, err2 := HittingSetApproach(in)
-		if err1 != nil || err2 != nil {
-			t.Logf("seed %d: %v %v", seed, err1, err2)
-			return false
-		}
-		for _, h := range []Result{bt, hs} {
-			if exact.Copies.TotalCopies() > h.Copies.TotalCopies() {
-				t.Logf("seed %d: exact %d > heuristic %d", seed,
-					exact.Copies.TotalCopies(), h.Copies.TotalCopies())
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExactInfeasibleReportsResidual(t *testing.T) {
-	// Two fixed values pinned to the same module conflict regardless of
-	// replication of others.
-	in := Input{
-		Instrs:   []conflict.Instruction{{1, 2}},
-		Assigned: map[int]int{1: 0, 2: 0},
-		K:        2,
-	}
-	res, err := ExactMinCopies(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Residual) != 1 {
-		t.Fatalf("residual = %v, want [0]", res.Residual)
-	}
-}
-
-func TestExactKeepsCarriedCopies(t *testing.T) {
-	// Value 9 arrives with a copy in module 1; the exact search must keep
-	// it (supersets only).
-	in := Input{
-		Instrs:     []conflict.Instruction{{1, 9}},
-		Assigned:   map[int]int{1: 0},
-		Unassigned: []int{9},
-		Initial:    Copies{9: ModSet(0).Add(1)},
-		K:          2,
-	}
-	res, err := ExactMinCopies(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Copies[9].Has(1) {
-		t.Fatalf("carried copy dropped: %v", res.Copies[9].Modules())
-	}
-	checkAllFree(t, in.Instrs, res)
-}

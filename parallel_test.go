@@ -95,8 +95,8 @@ func TestParallelCompileDeterminism(t *testing.T) {
 // see the same allocation whether it hit or missed the cache.
 func TestConcurrentAssignSharedCache(t *testing.T) {
 	instrs := engineStressInstrs(6, 10, 5)
-	cache := NewAllocCache(0)
-	cfg := AssignConfig{K: 6, Method: Backtrack, Cache: cache}
+	store := memStore(t)
+	cfg := AssignConfig{K: 6, Method: Backtrack, Store: store}
 	want, err := AssignValues(context.Background(), instrs, AssignConfig{K: 6, Method: Backtrack, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestConcurrentAssignSharedCache(t *testing.T) {
 			t.Errorf("goroutine %d: allocation differs from sequential baseline", i)
 		}
 	}
-	if st := cache.Stats(); st.Hits+st.Misses == 0 {
+	if st := store.Stats(); st.Hits+st.Misses == 0 {
 		t.Error("shared cache was never consulted")
 	}
 }
@@ -138,7 +138,7 @@ func TestConcurrentCompileSharedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewAllocCache(0)
+	store := memStore(t)
 	base, err := Compile(src, Options{Modules: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestConcurrentCompileSharedCache(t *testing.T) {
 	done := make(chan error)
 	for i := 0; i < goroutines; i++ {
 		go func() {
-			p, err := CompileCtx(context.Background(), src, Options{Modules: 8, Cache: cache})
+			p, err := CompileCtx(context.Background(), src, Options{Modules: 8, Store: store})
 			if err == nil && !reflect.DeepEqual(base.Alloc.Copies, p.Alloc.Copies) {
 				err = errors.New("allocation differs from the sequential baseline")
 			}

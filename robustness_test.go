@@ -39,7 +39,7 @@ func cliqueInstrs(n, width int) []Instruction {
 func TestBudgetExhaustionDegradesToHittingSet(t *testing.T) {
 	instrs := cliqueInstrs(14, 6)
 	b := Budget{MaxBacktrackNodes: 1}
-	al, err := AssignValuesCtx(context.Background(), instrs, 6, STOR1, Backtrack, b)
+	al, err := AssignValues(context.Background(), instrs, AssignConfig{K: 6, Strategy: STOR1, Method: Backtrack, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestBudgetExhaustionDegradesToHittingSet(t *testing.T) {
 	if !fellBack {
 		t.Fatalf("no phase recorded a fallback: %+v", al.Phases)
 	}
-	// AssignValuesCtx runs assign.Verify internally; double-check here that
+	// AssignValues runs assign.Verify internally; double-check here that
 	// the degraded allocation really is conflict-free.
 	for i, in := range instrs {
 		if !ConflictFree(in.Normalize(), al.Copies) {
@@ -75,7 +75,7 @@ func TestBudgetExhaustionDegradesToHittingSet(t *testing.T) {
 func TestBudgetUnlimitedNotDegraded(t *testing.T) {
 	instrs := cliqueInstrs(8, 4)
 	b := Budget{MaxBacktrackNodes: -1}
-	al, err := AssignValuesCtx(context.Background(), instrs, 4, STOR1, Backtrack, b)
+	al, err := AssignValues(context.Background(), instrs, AssignConfig{K: 4, Strategy: STOR1, Method: Backtrack, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBudgetUnlimitedNotDegraded(t *testing.T) {
 func TestDuplicationTimeBudget(t *testing.T) {
 	instrs := cliqueInstrs(14, 6)
 	b := Budget{MaxDuplicationTime: time.Nanosecond}
-	al, err := AssignValuesCtx(context.Background(), instrs, 6, STOR1, Backtrack, b)
+	al, err := AssignValues(context.Background(), instrs, AssignConfig{K: 6, Strategy: STOR1, Method: Backtrack, Budget: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func (c *countdownCtx) Err() error {
 func TestAssignCanceledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := AssignValuesCtx(ctx, cliqueInstrs(8, 4), 4, STOR1, HittingSet, Budget{})
+	_, err := AssignValues(ctx, cliqueInstrs(8, 4), AssignConfig{K: 4, Strategy: STOR1, Method: HittingSet})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -130,7 +130,7 @@ func TestAssignCanceledMidPhase(t *testing.T) {
 	// boundary), then the context reports cancellation while the
 	// backtracking search is spending nodes.
 	ctx := &countdownCtx{Context: context.Background(), remaining: 3}
-	_, err := AssignValuesCtx(ctx, cliqueInstrs(14, 6), 6, STOR1, Backtrack, Budget{})
+	_, err := AssignValues(ctx, cliqueInstrs(14, 6), AssignConfig{K: 6, Strategy: STOR1, Method: Backtrack})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -139,7 +139,7 @@ func TestAssignCanceledMidPhase(t *testing.T) {
 func TestCompileCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Compile(quick, Options{Ctx: ctx})
+	_, err := CompileCtx(ctx, quick, Options{})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -211,11 +211,11 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	// Bad module counts through the direct assignment API must error, not
 	// panic (coloring panics on K < 1 when reached directly).
-	if _, err := AssignValuesCtx(context.Background(), cliqueInstrs(4, 2), 0, STOR1, HittingSet, Budget{}); err == nil {
-		t.Fatal("AssignValuesCtx accepted k=0")
+	if _, err := AssignValues(context.Background(), cliqueInstrs(4, 2), AssignConfig{K: 0, Strategy: STOR1, Method: HittingSet}); err == nil {
+		t.Fatal("AssignValues accepted k=0")
 	}
-	if _, err := AssignValuesCtx(context.Background(), cliqueInstrs(4, 2), 65, STOR1, HittingSet, Budget{}); err == nil {
-		t.Fatal("AssignValuesCtx accepted k=65 (ModSet holds 64 modules)")
+	if _, err := AssignValues(context.Background(), cliqueInstrs(4, 2), AssignConfig{K: 65, Strategy: STOR1, Method: HittingSet}); err == nil {
+		t.Fatal("AssignValues accepted k=65 (ModSet holds 64 modules)")
 	}
 }
 
@@ -228,7 +228,7 @@ func TestFaultInjection(t *testing.T) {
 	instrs := cliqueInstrs(10, 4)
 	viaAssign := func(method Method) func() error {
 		return func() error {
-			_, err := AssignValuesCtx(context.Background(), instrs, 4, STOR1, method, Budget{})
+			_, err := AssignValues(context.Background(), instrs, AssignConfig{K: 4, Strategy: STOR1, Method: method})
 			return err
 		}
 	}

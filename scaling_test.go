@@ -72,9 +72,9 @@ func TestBlockedBitsetBoundaryPipeline(t *testing.T) {
 			t.Fatalf("n=%d: forced-CSR backend: %v", n, err)
 		}
 
-		refCfg := cfg
-		refCfg.Reference = true
-		ref, err := AssignValues(context.Background(), instrs, refCfg)
+		restore = useOracleBackends()
+		ref, err := AssignValues(context.Background(), instrs, cfg)
+		restore()
 		if err != nil {
 			t.Fatalf("n=%d: reference backend: %v", n, err)
 		}

@@ -23,10 +23,10 @@ func steadyInstrs() []Instruction {
 	return engineStressInstrs(8, 12, 5)
 }
 
-// assignOnce runs one direct assignment with the given cache (nil = cold).
-func assignOnce(b testing.TB, instrs []Instruction, cache *AllocCache) {
+// assignOnce runs one direct assignment with the given store (nil = cold).
+func assignOnce(b testing.TB, instrs []Instruction, store CacheStore) {
 	al, err := AssignValues(context.Background(), instrs, AssignConfig{
-		K: 5, Method: Backtrack, Workers: 1, Cache: cache,
+		K: 5, Method: Backtrack, Workers: 1, Store: store,
 		Budget: Budget{MaxBacktrackNodes: -1},
 	})
 	if err != nil {
@@ -52,11 +52,11 @@ func BenchmarkAssignSteadyState(b *testing.B) {
 	})
 	b.Run("steady", func(b *testing.B) {
 		b.ReportAllocs()
-		cache := NewAllocCache(0)
-		assignOnce(b, instrs, cache) // warm the memo
+		store := memStore(b)
+		assignOnce(b, instrs, store) // warm the memo
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			assignOnce(b, instrs, cache)
+			assignOnce(b, instrs, store)
 		}
 	})
 }
@@ -68,10 +68,10 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 	cold := testing.AllocsPerRun(5, func() {
 		assignOnce(t, instrs, nil)
 	})
-	cache := NewAllocCache(0)
-	assignOnce(t, instrs, cache)
+	store := memStore(t)
+	assignOnce(t, instrs, store)
 	steady := testing.AllocsPerRun(10, func() {
-		assignOnce(t, instrs, cache)
+		assignOnce(t, instrs, store)
 	})
 	t.Logf("cold %.0f allocs/op, steady %.0f allocs/op (%.2f%%)", cold, steady, 100*steady/cold)
 	if steady > cold*0.05 {
@@ -86,10 +86,10 @@ func TestSteadyStateAllocsGate(t *testing.T) {
 // corpus; the uncached one is the first pass.
 func BenchmarkCompileBatch(b *testing.B) {
 	srcs := batchSources()
-	run := func(b *testing.B, cache *AllocCache) {
+	run := func(b *testing.B, store CacheStore) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			results := CompileBatch(context.Background(), srcs, Options{Modules: 8, Cache: cache})
+			results := CompileBatch(context.Background(), srcs, Options{Modules: 8, Store: store})
 			for j, r := range results {
 				if r.Err != nil {
 					b.Fatalf("item %d: %v", j, r.Err)
@@ -100,14 +100,14 @@ func BenchmarkCompileBatch(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) { run(b, nil) })
 	b.Run("cached", func(b *testing.B) {
-		cache := NewAllocCache(0)
+		store := memStore(b)
 		for _, src := range srcs { // warm: one sequential pass
-			if _, err := Compile(src, Options{Modules: 8, Cache: cache}); err != nil {
+			if _, err := Compile(src, Options{Modules: 8, Store: store}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ResetTimer()
-		run(b, cache)
+		run(b, store)
 	})
 }
 

@@ -137,8 +137,7 @@ func TestBatchTelemetryExact(t *testing.T) {
 func TestMetricsEndpointSeries(t *testing.T) {
 	instrs := engineStressInstrs(8, 12, 5)
 	rec := NewRecorder()
-	cache := NewAllocCache(0)
-	cfg := AssignConfig{K: 5, Workers: 4, Telemetry: rec, Cache: cache}
+	cfg := AssignConfig{K: 5, Workers: 4, Telemetry: rec, Store: memStore(t)}
 	for i := 0; i < 2; i++ { // second run hits the whole-assignment memo
 		if _, err := AssignValues(context.Background(), instrs, cfg); err != nil {
 			t.Fatal(err)
@@ -189,8 +188,7 @@ func TestTelemetryInvisible(t *testing.T) {
 // whole-assignment cache hit must still record a wall-clock duration.
 func TestCacheHitPhaseElapsed(t *testing.T) {
 	instrs := engineStressInstrs(4, 8, 4)
-	cache := NewAllocCache(0)
-	cfg := AssignConfig{K: 5, Cache: cache}
+	cfg := AssignConfig{K: 5, Store: memStore(t)}
 	if _, err := AssignValues(context.Background(), instrs, cfg); err != nil {
 		t.Fatal(err)
 	}
