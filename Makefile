@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test check race vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
+.PHONY: build test test-parmembench check race vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# parmembench is a nested module (replace parmem => ../), so the root
+# `go test ./...` never reaches it; an API change that breaks the
+# benchmark fails here first.
+test-parmembench:
+	cd parmembench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -24,16 +30,17 @@ staticcheck:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: static analysis plus the full suite under the race
-# detector.
-check: vet staticcheck race
+# check is the CI gate: static analysis, the full suite under the race
+# detector, and the nested benchmark module's tests.
+check: vet staticcheck race test-parmembench
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # bench-run collects the gated benchmark set into bench.out: the dense-core
 # kernels (graph, coloring, duplication — BenchmarkDense covers both the
-# flat/blocked probe benches and the 10k blocked-vs-CSR one), the
+# flat/blocked probe benches and the 10k blocked-vs-CSR one) with their
+# map-backed counterparts in internal/oracle, the
 # steady-state/batch throughput benchmarks of the root package, the
 # multi-core scaling matrix, and the incremental-recompilation sweep (both
 # without -benchmem: their rows archive the speedup curves — bench2json
@@ -43,7 +50,7 @@ bench:
 # feeding a truncated stream to the converter.
 bench-run:
 	$(GO) test -run='^$$' -bench='BenchmarkDense|BenchmarkColoring|BenchmarkDuplication' \
-		-benchmem ./internal/graph ./internal/coloring ./internal/duplication > bench.out
+		-benchmem ./internal/graph ./internal/coloring ./internal/duplication ./internal/oracle > bench.out
 	$(GO) test -run='^$$' -bench='BenchmarkAssignSteadyState|BenchmarkCompileBatch' \
 		-benchmem . >> bench.out
 	$(GO) test -run='^$$' -bench='BenchmarkFleet' \
