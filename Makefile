@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-parmembench check race vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
+.PHONY: build test test-parmembench check race flake-hunt vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ staticcheck:
 
 race:
 	$(GO) test -race ./...
+
+# flake-hunt reruns the packages whose tests race real sockets, timers and
+# goroutines (daemon, gateway, telemetry, trace merge) 50 times, plain and
+# under the race detector, to shake out timing-dependent failures. It takes
+# minutes, so neither check nor CI runs it.
+FLAKE_PKGS = ./internal/server ./internal/gateway ./internal/telemetry ./internal/tracemerge
+
+flake-hunt:
+	$(GO) test -count=50 $(FLAKE_PKGS)
+	$(GO) test -race -count=50 $(FLAKE_PKGS)
 
 # check is the CI gate: static analysis, the full suite under the race
 # detector, and the nested benchmark module's tests.

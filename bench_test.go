@@ -284,6 +284,17 @@ func syntheticConflicts(r *rand.Rand, nvals, ninstr, k int) ([]conflict.Instruct
 	return instrs, col.Assign, col.Unassigned
 }
 
+// solveDuplication runs one duplication strategy end to end on one
+// worker, the way the assign engine does: the cores, then the global
+// Finish.
+func solveDuplication(in duplication.Input, m duplication.Method) (duplication.Result, error) {
+	copies, _, err := duplication.Cores(in, m, 1)
+	if err != nil {
+		return duplication.Result{}, err
+	}
+	return duplication.Finish(in, copies), nil
+}
+
 // BenchmarkBacktrackScaling measures the per-instruction backtracking
 // duplication (paper: O(k!·i)).
 func BenchmarkBacktrackScaling(b *testing.B) {
@@ -294,7 +305,7 @@ func BenchmarkBacktrackScaling(b *testing.B) {
 			b.ResetTimer()
 			var res duplication.Result
 			for i := 0; i < b.N; i++ {
-				res, _ = duplication.Backtrack(in)
+				res, _ = solveDuplication(in, duplication.MethodBacktrack)
 			}
 			b.ReportMetric(float64(res.NewCopies), "newcopies")
 		})
@@ -311,7 +322,7 @@ func BenchmarkHittingSetScaling(b *testing.B) {
 			b.ResetTimer()
 			var res duplication.Result
 			for i := 0; i < b.N; i++ {
-				res, _ = duplication.HittingSetApproach(in)
+				res, _ = solveDuplication(in, duplication.MethodHittingSet)
 			}
 			b.ReportMetric(float64(res.NewCopies), "newcopies")
 		})
@@ -494,14 +505,14 @@ func BenchmarkAblationMethod(b *testing.B) {
 	b.Run("backtrack", func(b *testing.B) {
 		var res duplication.Result
 		for i := 0; i < b.N; i++ {
-			res, _ = duplication.Backtrack(in)
+			res, _ = solveDuplication(in, duplication.MethodBacktrack)
 		}
 		b.ReportMetric(float64(res.Copies.TotalCopies()), "copies")
 	})
 	b.Run("hittingset", func(b *testing.B) {
 		var res duplication.Result
 		for i := 0; i < b.N; i++ {
-			res, _ = duplication.HittingSetApproach(in)
+			res, _ = solveDuplication(in, duplication.MethodHittingSet)
 		}
 		b.ReportMetric(float64(res.Copies.TotalCopies()), "copies")
 	})
@@ -671,9 +682,13 @@ func BenchmarkAblationExactDuplication(b *testing.B) {
 	}
 	in := duplication.Input{Instrs: instrs, Assigned: assigned, Unassigned: unassigned, K: 3}
 	algos := map[string]func(duplication.Input) (duplication.Result, error){
-		"exact":      oracle.ExactMinCopies,
-		"hittingset": duplication.HittingSetApproach,
-		"backtrack":  duplication.Backtrack,
+		"exact": oracle.ExactMinCopies,
+		"hittingset": func(in duplication.Input) (duplication.Result, error) {
+			return solveDuplication(in, duplication.MethodHittingSet)
+		},
+		"backtrack": func(in duplication.Input) (duplication.Result, error) {
+			return solveDuplication(in, duplication.MethodBacktrack)
+		},
 	}
 	for _, name := range []string{"exact", "hittingset", "backtrack"} {
 		b.Run(name, func(b *testing.B) {

@@ -141,15 +141,19 @@ func main() {
 	}
 }
 
-// printCacheStats prints the aggregate counters plus the per-memo-level
-// breakdown (whole assignments, duplication phases, atom colorings).
+// printCacheStats prints the aggregate counters plus the breakdown of every
+// memo level the cache saw, in name order.
 func printCacheStats(store parmem.CacheStore) {
 	st := store.Stats()
 	fmt.Printf("allocation cache: %d hits, %d misses, %d entries\n", st.Hits, st.Misses, st.Entries)
-	for _, lv := range []string{"assign", "dup", "atomcolor"} {
-		if ls, ok := st.Levels[lv]; ok {
-			fmt.Printf("  %-10s %d hits, %d misses\n", lv, ls.Hits, ls.Misses)
-		}
+	levels := make([]string, 0, len(st.Levels))
+	for lv := range st.Levels {
+		levels = append(levels, lv)
+	}
+	sort.Strings(levels)
+	for _, lv := range levels {
+		ls := st.Levels[lv]
+		fmt.Printf("  %-10s %d hits, %d misses\n", lv, ls.Hits, ls.Misses)
 	}
 }
 

@@ -1,6 +1,7 @@
 package parmem
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -75,6 +76,64 @@ func TestDiskWarmCorpusMatchesCold(t *testing.T) {
 	compileCorpusWith(t, st2, cold, "disk-warm")
 	if s := st2.Stats(); s.BackingHits == 0 {
 		t.Fatalf("restarted store served no disk hits over the corpus: %+v", s)
+	}
+}
+
+// TestDiskWarmDeltaMatchesCold: the comp level persists across restarts.
+// A populating run memoizes every component on disk; after a restart over
+// the same directory, a delta whose dirty component has a memoized shape is
+// served from disk, and the result equals a cold AssignValues bit for bit.
+func TestDiskWarmDeltaMatchesCold(t *testing.T) {
+	ctx := context.Background()
+	instrs := toInstructions(benchprog.ChainInstrs(6, 30, 4))
+	cfg := AssignConfig{K: 6, Workers: 1}
+	cold, err := AssignValues(ctx, instrs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	st1, err := OpenCacheStore(CacheConfig{DiskPath: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := cfg
+	pcfg.Store = st1
+	if _, err := AssignValuesIncremental(ctx, instrs, pcfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An uncached base whose first component is split; the delta restores
+	// it, so its dirty component is the memoized original.
+	split := append([]Instruction{{0, 1, 2}}, instrs[1:]...)
+	base, err := AssignValuesIncremental(ctx, split, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenCacheStore(CacheConfig{DiskPath: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	wcfg := cfg
+	wcfg.Store = st2
+	back := Delta{Changed: []ChangedInstruction{{Index: 0, Instr: instrs[0]}}}
+	res, err := AssignValuesDelta(ctx, base, back, wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Incremental.CacheHits == 0 || res.Incremental.Full {
+		t.Fatalf("restored component not served from the cache: %+v", res.Incremental)
+	}
+	if s := st2.Stats(); s.BackingHits == 0 {
+		t.Fatalf("restarted store served no disk hits: %+v", s)
+	}
+	got := res.Alloc
+	got.Phases, cold.Phases = nil, nil // wall-clock timings differ
+	if !reflect.DeepEqual(got, cold) {
+		t.Fatalf("disk-warm delta differs from cold AssignValues\ngot:  %+v\nwant: %+v", got, cold)
 	}
 }
 

@@ -53,8 +53,8 @@ type Stats struct {
 	Misses  int64 // Get calls that found nothing
 	Entries int   // entries currently resident in memory
 	// Levels breaks hits and misses down by memo level — the leading kind
-	// string of each key ("assign", "dup", "atomcolor"). Keys without a
-	// decodable kind are counted under "".
+	// string of each key (the engine's are "assign" and "comp"). Keys
+	// without a decodable kind are counted under "".
 	Levels map[string]LevelStats
 	// BackingHits counts memory misses served by the second-level store
 	// (these are included in Hits: the caller got an entry either way).
@@ -160,7 +160,8 @@ func (c *Cache) level(key string) *levelCounters {
 }
 
 // KeyLevel decodes the memo level of a signature built with Key: the
-// leading length-prefixed kind string ("assign", "dup", "atomcolor").
+// leading length-prefixed kind string ("assign" or "comp" for the engine's
+// keys).
 // Malformed keys decode to "".
 func KeyLevel(key string) string {
 	if len(key) < 8 {

@@ -5,7 +5,6 @@ import (
 
 	"parmem/internal/alloccache"
 	"parmem/internal/arena"
-	"parmem/internal/duplication"
 )
 
 // Cache hooks of the assignment engine. All keys are pure-memo
@@ -14,93 +13,6 @@ import (
 // produced. Results that depended on budget state — a phase that degraded
 // or ran under an exhausted meter — are never stored, so a hit can never
 // resurrect a degraded answer into an unbudgeted run or vice versa.
-
-// dupResultEntry memoizes one duplication call (one phase attempt).
-type dupResultEntry struct {
-	copies    duplication.Copies
-	residual  []int
-	newCopies int
-}
-
-func (e *dupResultEntry) CloneEntry() alloccache.Entry {
-	return &dupResultEntry{
-		copies:    e.copies.Clone(),
-		residual:  append([]int(nil), e.residual...),
-		newCopies: e.newCopies,
-	}
-}
-
-// dupKey signs a duplication.Input plus the method that will consume it.
-func dupKey(in duplication.Input, opt Options) string {
-	sc := arena.Get()
-	defer sc.Release()
-	k := alloccache.NewKey(sc.Bytes(1024))
-	k.Str("dup")
-	k.Int(opt.K)
-	k.Int(int(opt.Method))
-	k.Int(len(in.Instrs))
-	for _, instr := range in.Instrs {
-		k.Ints(instr)
-	}
-	writeIntMap(&k, in.Assigned, sc)
-	k.Ints(in.Unassigned)
-	writeCopies(&k, in.Initial, sc)
-	return k.String()
-}
-
-// writeIntMap is Key.IntMap with the sort scratch drawn from the arena; the
-// emitted bytes are identical (length, then sorted key/value pairs).
-func writeIntMap(k *alloccache.Key, m map[int]int, sc *arena.Scratch) {
-	keys := sc.Ints(len(m))[:0]
-	for v := range m {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
-	k.Int(len(keys))
-	for _, v := range keys {
-		k.Int(v)
-		k.Int(m[v])
-	}
-}
-
-// writeCopies signs a copy table with the same bytes IntMap would emit for
-// the value -> ModSet-as-int view of it, without materializing that map.
-func writeCopies(k *alloccache.Key, c duplication.Copies, sc *arena.Scratch) {
-	keys := sc.Ints(len(c))[:0]
-	for v := range c {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
-	k.Int(len(keys))
-	for _, v := range keys {
-		k.Int(v)
-		k.Int(int(c[v]))
-	}
-}
-
-// cachedDup consults the cache for a duplication call; nil means miss (or
-// no cache configured).
-func (st *phaseState) cachedDup(key string, opt Options) *duplication.Result {
-	if opt.Cache == nil {
-		return nil
-	}
-	e, ok := opt.Cache.Get(key)
-	if !ok {
-		return nil
-	}
-	d := e.(*dupResultEntry)
-	return &duplication.Result{Copies: d.copies, Residual: d.residual, NewCopies: d.newCopies}
-}
-
-// storeDup memoizes a completed duplication call. Degraded results and
-// results computed under an exhausted meter are budget-dependent, not
-// functions of the input alone, so they are never stored.
-func (st *phaseState) storeDup(key string, opt Options, res duplication.Result) {
-	if opt.Cache == nil || res.Fallback != "" || st.meter.Exhausted() {
-		return
-	}
-	opt.Cache.Put(key, &dupResultEntry{copies: res.Copies, residual: res.Residual, newCopies: res.NewCopies})
-}
 
 // allocEntry memoizes a whole assignment.
 type allocEntry struct {

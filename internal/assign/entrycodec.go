@@ -10,7 +10,7 @@ import (
 	"parmem/internal/duplication"
 )
 
-// Binary codecs for the three memo levels, registered with alloccache so
+// Binary codecs for the two memo levels, registered with alloccache so
 // a byte backing (the disk tier) can hold engine entries. The encoding is
 // hand-rolled varints rather than JSON because ModSet is a full uint64
 // bitmask — module 63 sets bit 63, which a JSON number cannot carry — and
@@ -22,21 +22,19 @@ import (
 // slices are nil when empty, maps are always non-nil. That keeps a
 // disk-tier hit bit-identical to recomputation under reflect.DeepEqual.
 
+// Format bytes. 0x01 and 0x03 belonged to the retired dup and atomcolor
+// levels; they are not reused.
 const (
-	codecDup       = 0x01
-	codecAlloc     = 0x02
-	codecAtomColor = 0x03
+	codecAlloc = 0x02
+	codecComp  = 0x04
 )
 
 func init() {
-	alloccache.RegisterCodec("dup", alloccache.Codec{
-		Encode: encodeDupEntry, Decode: decodeDupEntry,
-	})
 	alloccache.RegisterCodec("assign", alloccache.Codec{
 		Encode: encodeAllocEntry, Decode: decodeAllocEntry,
 	})
-	alloccache.RegisterCodec("atomcolor", alloccache.Codec{
-		Encode: encodeAtomColorEntry, Decode: decodeAtomColorEntry,
+	alloccache.RegisterCodec("comp", alloccache.Codec{
+		Encode: encodeCompEntry, Decode: decodeCompEntry,
 	})
 }
 
@@ -77,20 +75,6 @@ func putCopies(b []byte, c duplication.Copies) []byte {
 	for _, v := range keys {
 		b = putVarint(b, int64(v))
 		b = putUvarint(b, uint64(c[v]))
-	}
-	return b
-}
-
-func putIntMap(b []byte, m map[int]int) []byte {
-	keys := make([]int, 0, len(m))
-	for v := range m {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
-	b = putUvarint(b, uint64(len(keys)))
-	for _, v := range keys {
-		b = putVarint(b, int64(v))
-		b = putVarint(b, int64(m[v]))
 	}
 	return b
 }
@@ -208,16 +192,6 @@ func (r *byteReader) copies(what string) duplication.Copies {
 	return c
 }
 
-func (r *byteReader) intMap(what string) map[int]int {
-	n := r.count(what)
-	m := make(map[int]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		v := r.intval(what)
-		m[v] = r.intval(what)
-	}
-	return m
-}
-
 // done rejects both latched errors and trailing garbage.
 func (r *byteReader) done(what string) error {
 	if r.err != nil {
@@ -234,36 +208,6 @@ func newReader(data []byte, format byte, what string) (*byteReader, error) {
 		return nil, fmt.Errorf("entrycodec: bad %s format byte", what)
 	}
 	return &byteReader{b: data[1:]}, nil
-}
-
-// --- dup level ---
-
-func encodeDupEntry(e alloccache.Entry) ([]byte, error) {
-	d, ok := e.(*dupResultEntry)
-	if !ok {
-		return nil, fmt.Errorf("entrycodec: dup level got %T", e)
-	}
-	b := []byte{codecDup}
-	b = putCopies(b, d.copies)
-	b = putInts(b, d.residual)
-	b = putVarint(b, int64(d.newCopies))
-	return b, nil
-}
-
-func decodeDupEntry(data []byte) (alloccache.Entry, error) {
-	r, err := newReader(data, codecDup, "dup")
-	if err != nil {
-		return nil, err
-	}
-	d := &dupResultEntry{
-		copies:    r.copies("dup copies"),
-		residual:  r.ints("dup residual"),
-		newCopies: r.intval("dup newCopies"),
-	}
-	if err := r.done("dup"); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // --- assign level ---
@@ -329,30 +273,35 @@ func decodeAllocEntry(data []byte) (alloccache.Entry, error) {
 	return &allocEntry{al: al}, nil
 }
 
-// --- atomcolor level ---
+// --- comp level ---
 
-func encodeAtomColorEntry(e alloccache.Entry) ([]byte, error) {
-	a, ok := e.(*atomColorResult)
+// The comp key already spells out the component's instructions (and with
+// them its values), so an entry carries only what the solve produced.
+
+func encodeCompEntry(e alloccache.Entry) ([]byte, error) {
+	c, ok := e.(*compEntry)
 	if !ok {
-		return nil, fmt.Errorf("entrycodec: atomcolor level got %T", e)
+		return nil, fmt.Errorf("entrycodec: comp level got %T", e)
 	}
-	b := []byte{codecAtomColor}
-	b = putIntMap(b, a.assign)
-	b = putInts(b, a.unassigned)
+	b := []byte{codecComp}
+	b = putCopies(b, c.copies)
+	b = putInts(b, c.unassigned)
+	b = putVarint(b, int64(c.atoms))
 	return b, nil
 }
 
-func decodeAtomColorEntry(data []byte) (alloccache.Entry, error) {
-	r, err := newReader(data, codecAtomColor, "atomcolor")
+func decodeCompEntry(data []byte) (alloccache.Entry, error) {
+	r, err := newReader(data, codecComp, "comp")
 	if err != nil {
 		return nil, err
 	}
-	a := &atomColorResult{
-		assign:     r.intMap("atomcolor assign"),
-		unassigned: r.ints("atomcolor unassigned"),
+	c := &compEntry{
+		copies:     r.copies("comp copies"),
+		unassigned: r.ints("comp unassigned"),
+		atoms:      r.intval("comp atoms"),
 	}
-	if err := r.done("atomcolor"); err != nil {
+	if err := r.done("comp"); err != nil {
 		return nil, err
 	}
-	return a, nil
+	return c, nil
 }

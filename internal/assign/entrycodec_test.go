@@ -22,29 +22,29 @@ func roundTrip(t *testing.T, enc func(alloccache.Entry) ([]byte, error), dec fun
 	return got
 }
 
-func TestDupEntryRoundTrip(t *testing.T) {
+func TestCompEntryRoundTrip(t *testing.T) {
 	// Bit 63 set: the case JSON numbers cannot carry.
-	e := &dupResultEntry{
-		copies:    duplication.Copies{0: 1, 7: 1 << 63, 3: (1 << 63) | 5},
-		residual:  []int{4, 1, 9},
-		newCopies: 12,
+	e := &compEntry{
+		copies:     duplication.Copies{0: 1, 7: 1 << 63, 3: (1 << 63) | 5},
+		unassigned: []int{3, 7},
+		atoms:      12,
 	}
-	got := roundTrip(t, encodeDupEntry, decodeDupEntry, e)
+	got := roundTrip(t, encodeCompEntry, decodeCompEntry, e)
 	if !reflect.DeepEqual(got, e) {
 		t.Fatalf("round trip:\n got %#v\nwant %#v", got, e)
 	}
 }
 
-func TestDupEntryEmptyShapes(t *testing.T) {
+func TestCompEntryEmptyShapes(t *testing.T) {
 	// CloneEntry yields a non-nil empty map and nil slices; the decoder
 	// must reproduce that exact shape.
-	e := &dupResultEntry{copies: duplication.Copies{}, residual: nil, newCopies: 0}
-	got := roundTrip(t, encodeDupEntry, decodeDupEntry, e).(*dupResultEntry)
+	e := &compEntry{copies: duplication.Copies{}, unassigned: nil, atoms: 0}
+	got := roundTrip(t, encodeCompEntry, decodeCompEntry, e).(*compEntry)
 	if got.copies == nil || len(got.copies) != 0 {
 		t.Fatalf("copies = %#v, want non-nil empty", got.copies)
 	}
-	if got.residual != nil {
-		t.Fatalf("residual = %#v, want nil", got.residual)
+	if got.unassigned != nil {
+		t.Fatalf("unassigned = %#v, want nil", got.unassigned)
 	}
 	if !reflect.DeepEqual(got, e.CloneEntry()) {
 		t.Fatalf("decode differs from CloneEntry shape")
@@ -72,19 +72,6 @@ func TestAllocEntryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAtomColorRoundTrip(t *testing.T) {
-	e := &atomColorResult{assign: map[int]int{0: 1, 4: 0, 9: 3}, unassigned: []int{2}}
-	got := roundTrip(t, encodeAtomColorEntry, decodeAtomColorEntry, e)
-	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("round trip:\n got %#v\nwant %#v", got, e)
-	}
-	empty := &atomColorResult{assign: map[int]int{}, unassigned: nil}
-	got2 := roundTrip(t, encodeAtomColorEntry, decodeAtomColorEntry, empty).(*atomColorResult)
-	if got2.assign == nil || got2.unassigned != nil {
-		t.Fatalf("empty shapes: %#v", got2)
-	}
-}
-
 func TestDecodeRejectsMalformed(t *testing.T) {
 	e := &allocEntry{al: Allocation{
 		Copies:     duplication.Copies{1: 3},
@@ -96,9 +83,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	decoders := map[string]func([]byte) (alloccache.Entry, error){
-		"assign":    decodeAllocEntry,
-		"dup":       decodeDupEntry,
-		"atomcolor": decodeAtomColorEntry,
+		"assign": decodeAllocEntry,
+		"comp":   decodeCompEntry,
 	}
 	for name, dec := range decoders {
 		// Truncations at every length must error, never panic or half-build.
@@ -120,10 +106,26 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := decodeAllocEntry(bad); err == nil {
 		t.Fatal("accepted wrong format byte")
 	}
-	// Invalid bool byte.
-	data2, _ := encodeDupEntry(&dupResultEntry{copies: duplication.Copies{}})
+	// A payload of another level.
+	data2, _ := encodeCompEntry(&compEntry{copies: duplication.Copies{}})
 	if _, err := decodeAllocEntry(data2); err == nil {
-		t.Fatal("assign decoder accepted a dup payload")
+		t.Fatal("assign decoder accepted a comp payload")
+	}
+	if _, err := decodeCompEntry(data); err == nil {
+		t.Fatal("comp decoder accepted an assign payload")
+	}
+	// The comp decoder's own truncations and trailing garbage.
+	comp, err := encodeCompEntry(&compEntry{copies: duplication.Copies{1: 3, 4: 1 << 63}, unassigned: []int{4}, atoms: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(comp); n++ {
+		if _, err := decodeCompEntry(comp[:n]); err == nil {
+			t.Fatalf("comp decoder accepted truncation at %d", n)
+		}
+	}
+	if _, err := decodeCompEntry(append(append([]byte(nil), comp...), 0x7)); err == nil {
+		t.Fatal("comp decoder accepted trailing bytes")
 	}
 }
 
@@ -143,9 +145,9 @@ func TestCodecsRegisteredForAllLevels(t *testing.T) {
 	keys := map[string]alloccache.Entry{}
 	{
 		k := alloccache.NewKey(nil)
-		k.Str("dup")
+		k.Str("comp")
 		k.Str("x")
-		keys[k.String()] = &dupResultEntry{copies: duplication.Copies{2: 1 << 63}, residual: []int{1}}
+		keys[k.String()] = &compEntry{copies: duplication.Copies{2: 1 << 63}, unassigned: []int{1}, atoms: 1}
 	}
 	{
 		k := alloccache.NewKey(nil)
@@ -153,17 +155,11 @@ func TestCodecsRegisteredForAllLevels(t *testing.T) {
 		k.Str("x")
 		keys[k.String()] = &allocEntry{al: Allocation{Copies: duplication.Copies{0: 1}, TotalCopies: 1, SingleCopy: 1}}
 	}
-	{
-		k := alloccache.NewKey(nil)
-		k.Str("atomcolor")
-		k.Str("x")
-		keys[k.String()] = &atomColorResult{assign: map[int]int{1: 0}}
-	}
 	for key, e := range keys {
 		c.Put(key, e)
 	}
-	if len(back.m) != 3 {
-		t.Fatalf("backing holds %d records, want 3 (a level is missing its codec)", len(back.m))
+	if len(back.m) != 2 {
+		t.Fatalf("backing holds %d records, want 2 (a level is missing its codec)", len(back.m))
 	}
 	// A cold cache over the same backing must reproduce every entry.
 	c2 := alloccache.New(8)

@@ -6,17 +6,14 @@ import (
 	"sync"
 	"time"
 
-	"parmem/internal/alloccache"
 	"parmem/internal/arena"
 	"parmem/internal/atoms"
 	"parmem/internal/coloring"
-	"parmem/internal/graph"
 	"parmem/internal/telemetry"
 )
 
 // This file is the parallel side of the assignment engine: per-atom
-// coloring fanned across a bounded worker pool, and the alloccache hooks
-// that memoize atom colorings.
+// coloring fanned across a bounded worker pool.
 //
 // Determinism contract. The sequential colorPhase colors atoms in reverse
 // carve order with three pieces of shared state: the precoloring (read
@@ -41,40 +38,14 @@ func (opt Options) workerCount() int {
 	return opt.Workers
 }
 
-// atomColorResult is one atom's coloring outcome; it implements
-// alloccache.Entry so atom colorings can be memoized across compiles.
+// atomColorResult is one atom's coloring outcome.
 type atomColorResult struct {
 	assign     map[int]int
 	unassigned []int
 }
 
-func (r *atomColorResult) CloneEntry() alloccache.Entry {
-	c := &atomColorResult{
-		assign:     make(map[int]int, len(r.assign)),
-		unassigned: append([]int(nil), r.unassigned...),
-	}
-	for v, m := range r.assign {
-		c.assign[v] = m
-	}
-	return c
-}
-
-// atomColorKey builds the pure-memo signature of one atom coloring
-// subproblem: the exact subgraph (original ids included), the
-// precoloring visible to the atom, and the knobs the colorer reads.
-func atomColorKey(sub *graph.Graph, preA map[int]int, opt Options, sc *arena.Scratch) string {
-	k := alloccache.NewKey(sc.Bytes(1024))
-	k.Str("atomcolor")
-	k.Graph(sub)
-	writeIntMap(&k, preA, sc)
-	k.Int(opt.K)
-	k.Int(int(opt.Pick))
-	return k.String()
-}
-
 // colorOneAtom colors one atom against the given views of the shared
-// state, consulting the cache when one is configured. The views must
-// already reflect every atom this one depends on. The span (parented under
+// state. The views must already reflect every atom this one depends on. The span (parented under
 // the current phase) carries the atom's size, outcome and worker lane.
 //
 // sc supplies every borrowed buffer, including the colorer's own scratch
@@ -103,8 +74,7 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 			sub = a.Graph.Induced(keep)
 		}
 	}
-	// The colorer only reads Precolored and the key builder copies it, so
-	// the map can live in the arena.
+	// The colorer only reads Precolored, so the map can live in the arena.
 	preA := sc.IntMap(len(a.Nodes))
 	for _, v := range sub.NodesAppend(sc.Ints(sub.NumNodes())[:0]) {
 		if m, ok := pre[v]; ok {
@@ -114,21 +84,9 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 			preA[v] = m // separator vertex colored by a later atom
 		}
 	}
-	var key string
-	if opt.Cache != nil {
-		key = atomColorKey(sub, preA, opt, sc)
-		if e, ok := opt.Cache.Get(key); ok {
-			sp.SetAttrStr("cache", "hit")
-			return e.(*atomColorResult)
-		}
-	}
 	res := color(sub, coloring.Options{K: opt.K, Precolored: preA, Pick: opt.Pick, Scratch: sc})
-	out := &atomColorResult{assign: res.Assign, unassigned: res.Unassigned}
 	sp.SetAttr("unassigned", int64(len(res.Unassigned)))
-	if opt.Cache != nil {
-		opt.Cache.Put(key, out)
-	}
-	return out
+	return &atomColorResult{assign: res.Assign, unassigned: res.Unassigned}
 }
 
 // colorAtoms colors every atom of dec in reverse carve order, sequentially

@@ -114,9 +114,9 @@ func endToEnd(t *testing.T, instrs []conflict.Instruction, k int, hit bool) Resu
 	g := conflict.Build(instrs)
 	col := coloring.GuptaSoffa(g, coloring.Options{K: k})
 	in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
-	run := Backtrack
+	run := backtrack
 	if hit {
-		run = HittingSetApproach
+		run = hittingSet
 	}
 	res, err := run(in)
 	if err != nil {
@@ -182,8 +182,8 @@ func TestFigure8(t *testing.T) {
 	in := Input{Instrs: instrs, Assigned: assigned, Unassigned: []int{4}, K: 4}
 
 	for name, f := range map[string]func(Input) (Result, error){
-		"hitting":   HittingSetApproach,
-		"backtrack": Backtrack,
+		"hitting":   hittingSet,
+		"backtrack": backtrack,
 	} {
 		res, err := f(in)
 		if err != nil {
@@ -224,7 +224,7 @@ func TestFigure3(t *testing.T) {
 func TestBacktrackNoUnassigned(t *testing.T) {
 	instrs := []conflict.Instruction{{1, 2}}
 	in := Input{Instrs: instrs, Assigned: map[int]int{1: 0, 2: 1}, K: 2}
-	res, err := Backtrack(in)
+	res, err := backtrack(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestResidualDetected(t *testing.T) {
 	// stays and must be reported.
 	instrs := []conflict.Instruction{{1, 2}}
 	in := Input{Instrs: instrs, Assigned: map[int]int{1: 0, 2: 0}, K: 2}
-	res, err := Backtrack(in)
+	res, err := backtrack(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestUnusedUnassignedGetsStorage(t *testing.T) {
 		Unassigned: []int{9}, // appears in no instruction
 		K:          2,
 	}
-	for _, f := range []func(Input) (Result, error){Backtrack, HittingSetApproach} {
+	for _, f := range []func(Input) (Result, error){backtrack, hittingSet} {
 		res, err := f(in)
 		if err != nil {
 			t.Fatal(err)
@@ -387,7 +387,7 @@ func TestPipelineProperty(t *testing.T) {
 		g := conflict.Build(instrs)
 		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
 		in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
-		for _, f := range []func(Input) (Result, error){Backtrack, HittingSetApproach} {
+		for _, f := range []func(Input) (Result, error){backtrack, hittingSet} {
 			res, err := f(in)
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
@@ -434,10 +434,10 @@ func TestStrategiesDeterministicProperty(t *testing.T) {
 		g := conflict.Build(instrs)
 		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
 		in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
-		a1, err1 := Backtrack(in)
-		a2, err2 := Backtrack(in)
-		b1, err3 := HittingSetApproach(in)
-		b2, err4 := HittingSetApproach(in)
+		a1, err1 := backtrack(in)
+		a2, err2 := backtrack(in)
+		b1, err3 := hittingSet(in)
+		b2, err4 := hittingSet(in)
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return false
 		}

@@ -260,7 +260,8 @@ func vecGreater(a, b []int, k int) bool {
 	return false
 }
 
-// HittingSetApproach implements the overall strategy of paper Fig. 7.
+// hittingCore is the overall strategy of paper Fig. 7, without the
+// global epilogue (see Finish).
 //
 // First one copy of every replicable value is placed (greedy placement),
 // then a second copy of each, which makes every operand *pair* conflict-free
@@ -276,23 +277,9 @@ func vecGreater(a, b []int, k int) bool {
 // combination enumerated). On budget exhaustion the approach degrades to
 // full replication: every replicable operand of a still-conflicting
 // instruction receives a copy in every module, which is conflict-free by
-// construction wherever replicable values are involved; the result carries
-// Fallback "fullreplication". Cancellation aborts with an error wrapping
+// construction wherever replicable values are involved; the fallback is
+// then "fullreplication". Cancellation aborts with an error wrapping
 // budget.ErrCanceled.
-func HittingSetApproach(in Input) (Result, error) {
-	start := in.Meter.Spent()
-	copies, fallback, err := hittingCore(in)
-	if err != nil {
-		return Result{}, err
-	}
-	res := finishResult(in, copies)
-	res.Fallback = fallback
-	res.NodesSpent = in.Meter.Spent() - start
-	return res, nil
-}
-
-// hittingCore is the Fig. 7 strategy without the final bookkeeping; see
-// backtrackCore for why the split exists.
 func hittingCore(in Input) (Copies, string, error) {
 	faultinject.Check("duplication.hittingset")
 	// One arena scope covers the whole strategy: the normalized operand

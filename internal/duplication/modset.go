@@ -2,13 +2,14 @@
 // graph coloring by replicating data values across memory modules
 // (Gupta & Soffa, PPOPP 1988, §2.2).
 //
-// Two strategies are implemented:
+// Two strategies are implemented, each as a core that Cores runs per
+// connected component before one global Finish:
 //
-//   - Backtrack (paper Fig. 6): instructions are processed one at a time in
-//     order of how many replicable operands they contain; for each, an
-//     exhaustive search over module placements finds the assignment that
-//     creates the fewest new copies.
-//   - HittingSet (paper Figs. 7, 9, 10): all instructions are examined
+//   - MethodBacktrack (paper Fig. 6): instructions are processed one at a
+//     time in order of how many replicable operands they contain; for each,
+//     an exhaustive search over module placements finds the assignment
+//     that creates the fewest new copies.
+//   - MethodHittingSet (paper Figs. 7, 9, 10): all instructions are examined
 //     before any replication decision; for every operand-combination size
 //     3..k, the still-conflicting combinations define candidate sets whose
 //     minimum hitting set (approximated greedily) is duplicated, and the new

@@ -86,8 +86,8 @@ func TestExactNeverWorseThanHeuristicsProperty(t *testing.T) {
 			t.Logf("seed %d: exact left residual %v", seed, exact.Residual)
 			return false
 		}
-		bt, err1 := duplication.Backtrack(in)
-		hs, err2 := duplication.HittingSetApproach(in)
+		bt, err1 := duplication.SolveBacktrack(in)
+		hs, err2 := duplication.SolveHittingSet(in)
 		if err1 != nil || err2 != nil {
 			t.Logf("seed %d: %v %v", seed, err1, err2)
 			return false

@@ -18,15 +18,20 @@ import (
 // (candidate sets, occurrence vectors, placement scores) never couples
 // values that share no instruction. Components can therefore be solved
 // concurrently and merged in a fixed order with a result bit-identical to
-// the sequential run — except for the global bookkeeping of finishResult
+// the sequential run — except for the global bookkeeping of Finish
 // (load-balanced placement of copyless values and the residual scan),
 // which must run exactly once over the merged copy table, never
 // per component.
 
-// coreFunc is the finish-free kernel of a duplication strategy: it returns
-// the copy table and the fallback taken ("" when the primary strategy
-// completed). backtrackCore and hittingCore implement it.
-type coreFunc func(Input) (Copies, string, error)
+// Method selects the strategy core Cores runs.
+type Method int
+
+const (
+	// MethodHittingSet is the global approach of paper Figs. 7, 9 and 10.
+	MethodHittingSet Method = iota
+	// MethodBacktrack is the per-instruction search of paper Fig. 6.
+	MethodBacktrack
+)
 
 // component is one independent subproblem of an Input.
 type component struct {
@@ -153,122 +158,113 @@ func partition(in Input) []component {
 // converts it into a *budget.InternalError as usual.
 type workerPanic struct{ value any }
 
-// runParallel solves in with core, fanning the connected components across
-// at most workers goroutines, and finishes globally. workers <= 1, or an
-// input with fewer than two components, falls back to one sequential core
-// call. The merged result is bit-identical to the sequential one whenever
-// the budget is not exhausted mid-run (degradation points can differ under
-// an exhausted budget: the per-component hitting-set passes charge their
-// smaller component sizes, so the meter trips at different places — the
-// degraded result is still Verify-clean either way).
-func runParallel(in Input, core coreFunc, workers int) (Result, error) {
-	start := in.Meter.Spent()
-	copies, fallback, err := runCores(in, core, workers)
-	if err != nil {
-		return Result{}, err
+// Cores runs the strategy core m over in, fanning the connected components
+// of the operand-sharing relation across at most workers goroutines, and
+// returns the merged copy table — every value that gained storage mapped to
+// its modules, values no component touched riding through from Initial —
+// with the most severe fallback taken: "" (none), "hittingset" (the
+// backtracking search ran out of budget and handed the remaining
+// placements to the hitting-set core) or "fullreplication" (remaining
+// conflicting replicable values were copied to every module). Degraded
+// copy tables are still correct; they just hold more copies.
+//
+// The result is not finished: pass it, possibly stitched together with the
+// copies of components solved elsewhere, to Finish. workers <= 1, or an
+// input with fewer than two components, runs one sequential core call. The
+// merged result is bit-identical to the sequential one whenever the budget
+// is not exhausted mid-run (the per-component hitting-set passes charge
+// their smaller component sizes, so an exhausted meter can trip at
+// different places — the degraded result is still Verify-clean either
+// way).
+func Cores(in Input, m Method, workers int) (Copies, string, error) {
+	core := hittingCore
+	if m == MethodBacktrack {
+		core = backtrackCore
 	}
-	res := finishResult(in, copies)
-	res.Fallback = fallback
-	res.NodesSpent = in.Meter.Spent() - start
-	return res, nil
-}
-
-// runCores is runParallel without the global finish: it returns the merged
-// per-component core output (every value that gained storage mapped to its
-// modules, values no component touched riding through from Initial) and the
-// merged fallback label. The incremental engine calls it through
-// BacktrackCores/HittingSetCores so it can stitch freshly solved components
-// together with reused ones before finishing once, globally, with Finish.
-func runCores(in Input, core coreFunc, workers int) (Copies, string, error) {
-	var copies Copies
-	var fallbacks []string
-
+	if workers <= 1 {
+		return core(in)
+	}
 	comps := partition(in)
-	if workers <= 1 || len(comps) < 2 {
-		c, fb, err := core(in)
-		if err != nil {
-			return nil, "", err
-		}
-		copies, fallbacks = c, []string{fb}
-	} else {
-		type outcome struct {
-			copies   Copies
-			fallback string
-			err      error
-			panicked *workerPanic
-		}
-		results := make([]outcome, len(comps))
-		next := make(chan int)
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		if workers > len(comps) {
-			workers = len(comps)
-		}
-		// One arena shard per worker for the whole fan-out: each worker
-		// solves its components against a private Scratch, Reset between
-		// components, never touching the global pool mid-phase.
-		shards := arena.GetShards(workers)
-		defer shards.Release()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sc := shards.Worker(w)
-				for i := range next {
-					if stop.Load() {
-						continue
-					}
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								results[i].panicked = &workerPanic{value: r}
-								stop.Store(true)
-							}
-						}()
-						cin := comps[i].in
-						cin.Scratch = sc
-						c, fb, err := core(cin)
-						results[i] = outcome{copies: c, fallback: fb, err: err}
-						if err != nil {
+	if len(comps) < 2 {
+		return core(in)
+	}
+	type outcome struct {
+		copies   Copies
+		fallback string
+		err      error
+		panicked *workerPanic
+	}
+	results := make([]outcome, len(comps))
+	next := make(chan int)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	if workers > len(comps) {
+		workers = len(comps)
+	}
+	// One arena shard per worker for the whole fan-out: each worker
+	// solves its components against a private Scratch, Reset between
+	// components, never touching the global pool mid-phase.
+	shards := arena.GetShards(workers)
+	defer shards.Release()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := shards.Worker(w)
+			for i := range next {
+				if stop.Load() {
+					continue
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							results[i].panicked = &workerPanic{value: r}
 							stop.Store(true)
 						}
 					}()
-					sc.Reset()
-				}
-			}(w)
-		}
-		for i := range comps {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+					cin := comps[i].in
+					cin.Scratch = sc
+					c, fb, err := core(cin)
+					results[i] = outcome{copies: c, fallback: fb, err: err}
+					if err != nil {
+						stop.Store(true)
+					}
+				}()
+				sc.Reset()
+			}
+		}(w)
+	}
+	for i := range comps {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
-		for _, r := range results {
-			if r.panicked != nil {
-				panic(r.panicked.value)
-			}
-		}
-		for _, r := range results {
-			if r.err != nil {
-				return nil, "", r.err
-			}
-		}
-		// Merge in component order. Components hold disjoint value sets, so
-		// the order only matters for determinism of map construction, not
-		// content; values no component touched (pinned by earlier phases,
-		// unused here) ride through from Initial.
-		copies = in.Initial.Clone()
-		if copies == nil {
-			copies = Copies{}
-		}
-		for _, r := range results {
-			for v, s := range r.copies {
-				copies[v] = s
-			}
-			fallbacks = append(fallbacks, r.fallback)
+	for _, r := range results {
+		if r.panicked != nil {
+			panic(r.panicked.value)
 		}
 	}
-
+	for _, r := range results {
+		if r.err != nil {
+			return nil, "", r.err
+		}
+	}
+	// Merge in component order. Components hold disjoint value sets, so
+	// the order only matters for determinism of map construction, not
+	// content; values no component touched (pinned by earlier phases,
+	// unused here) ride through from Initial.
+	copies := in.Initial.Clone()
+	if copies == nil {
+		copies = Copies{}
+	}
+	fallbacks := make([]string, 0, len(results))
+	for _, r := range results {
+		for v, s := range r.copies {
+			copies[v] = s
+		}
+		fallbacks = append(fallbacks, r.fallback)
+	}
 	return copies, mergeFallbacks(fallbacks), nil
 }
 
@@ -285,39 +281,4 @@ func mergeFallbacks(fbs []string) string {
 		}
 	}
 	return out
-}
-
-// BacktrackParallel is Backtrack fanned across the connected components of
-// the operand-sharing relation. See runParallel for the determinism
-// contract.
-func BacktrackParallel(in Input, workers int) (Result, error) {
-	return runParallel(in, backtrackCore, workers)
-}
-
-// HittingSetParallel is HittingSetApproach fanned across the connected
-// components of the operand-sharing relation. See runParallel for the
-// determinism contract.
-func HittingSetParallel(in Input, workers int) (Result, error) {
-	return runParallel(in, hittingCore, workers)
-}
-
-// BacktrackCores runs the backtracking cores of in's components without the
-// global finish, returning the merged copy table and fallback label. Pair
-// with Finish after stitching in copies from components solved elsewhere
-// (the incremental engine's reused components).
-func BacktrackCores(in Input, workers int) (Copies, string, error) {
-	return runCores(in, backtrackCore, workers)
-}
-
-// HittingSetCores is BacktrackCores for the hitting-set strategy.
-func HittingSetCores(in Input, workers int) (Copies, string, error) {
-	return runCores(in, hittingCore, workers)
-}
-
-// Finish runs the global epilogue over a stitched copy table: load-balanced
-// placement of copyless values, the residual conflict scan, and the copy
-// accounting. It must see the FULL input (all instructions and unassigned
-// values), not a component slice — per-module load is a global quantity.
-func Finish(in Input, copies Copies) Result {
-	return finishResult(in, copies)
 }

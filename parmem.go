@@ -68,10 +68,10 @@ type (
 	// API call lets a panic escape.
 	InternalError = budget.InternalError
 	// AllocCache is the in-memory tier of a CacheStore: it memoizes
-	// assignment subproblems (atom colorings, duplication phases,
-	// incremental components, whole assignments) across compilations. It is a pure memo — hits
-	// return exactly what the computation would have produced — and is
-	// safe for concurrent use.
+	// assignment subproblems (whole assignments and STOR1 conflict
+	// components) across compilations. It is a pure memo — hits return
+	// exactly what the computation would have produced — and is safe for
+	// concurrent use.
 	AllocCache = alloccache.Cache
 	// CacheStats is a snapshot of an AllocCache's hit/miss counters.
 	CacheStats = alloccache.Stats
