@@ -159,6 +159,10 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining atomic.Bool
 	drained  chan struct{} // closed when Drain completes
+	// readCut is the read cut-off (unix nanoseconds) Drain sets once every
+	// tracked response is written; zero while serving. Frames that reach a
+	// connection before it are still read and answered UNAVAILABLE.
+	readCut atomic.Int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -554,12 +558,12 @@ func engineCtx(ctx context.Context, sp *telemetry.Span, tc telemetry.TraceContex
 // byte without a deadline (idle connections are fine), then require the
 // rest of the frame within FrameTimeout.
 func (s *Server) readFrame(nc net.Conn, br *bufio.Reader) (Frame, error) {
-	nc.SetReadDeadline(time.Time{}) //nolint:errcheck
+	s.setReadDeadline(nc, time.Time{})
 	b0, err := br.ReadByte()
 	if err != nil {
 		return Frame{}, err
 	}
-	nc.SetReadDeadline(time.Now().Add(s.cfg.FrameTimeout)) //nolint:errcheck
+	s.setReadDeadline(nc, time.Now().Add(s.cfg.FrameTimeout))
 	var hdr [HeaderLen]byte
 	hdr[0] = b0
 	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
@@ -579,12 +583,28 @@ func (s *Server) readFrame(nc net.Conn, br *bufio.Reader) (Frame, error) {
 	return f, nil
 }
 
+// setReadDeadline sets nc's read deadline to t (zero: none), capped at the
+// drain's read cut-off once there is one. The cut-off is loaded after the
+// set, so a concurrent Drain either sees its own deadline win or is seen
+// here.
+func (s *Server) setReadDeadline(nc net.Conn, t time.Time) {
+	nc.SetReadDeadline(t) //nolint:errcheck
+	if ns := s.readCut.Load(); ns != 0 {
+		if cut := time.Unix(0, ns); t.IsZero() || cut.Before(t) {
+			nc.SetReadDeadline(cut) //nolint:errcheck
+		}
+	}
+}
+
 // rejectFrame classifies a framing failure, emits a best-effort typed
 // error frame where the peer can still use one, and lets the connection
 // close. EOF (peer hung up cleanly) is not a fault.
 func (s *Server) rejectFrame(c *conn, f Frame, err error) {
 	switch {
 	case errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed):
+		return
+	case s.readCut.Load() != 0 && errors.Is(err, os.ErrDeadlineExceeded):
+		// The drain's read cut-off, not a slow peer.
 		return
 	case errors.Is(err, ErrFrameSize):
 		// Header was sane, payload is just too big: tell the peer why
@@ -1016,12 +1036,18 @@ func summarize(al parmem.Allocation, withCopies bool) *AllocSummary {
 	return sum
 }
 
+// drainReadGrace is how long a drain keeps reading frames its peers sent
+// after the last tracked response, answering each UNAVAILABLE.
+const drainReadGrace = 100 * time.Millisecond
+
 // Drain gracefully shuts the server down: stop accepting connections,
 // refuse new requests on existing ones with UNAVAILABLE, let in-flight
 // work finish, and — if ctx expires first — deadline-cancel the stragglers
 // so even they get a typed response. Every admitted request has its
 // response written before Drain returns: zero in-flight responses are
-// dropped. Safe to call once; subsequent calls wait for the first.
+// dropped, and a frame that reaches the server within drainReadGrace of
+// the last of them is answered UNAVAILABLE. Safe to call once; subsequent
+// calls wait for the first.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainMu.Lock()
 	first := s.draining.CompareAndSwap(false, true)
@@ -1051,13 +1077,37 @@ func (s *Server) Drain(ctx context.Context) error {
 		<-done
 	}
 
-	// All responses are written; now the connections can go.
+	// All tracked responses are written. Frames already sent on a
+	// connection are still read and answered UNAVAILABLE until the read
+	// cut-off, where each connection closes itself; closing a socket that
+	// holds unread frames would reset the peer and lose their answers. A
+	// hard stop (ctx expired) cuts off at once. A connection still open a
+	// grace later is stuck writing to a peer that stopped reading.
+	cut := time.Now()
+	if ctx.Err() == nil {
+		cut = cut.Add(drainReadGrace)
+	}
+	s.readCut.Store(cut.UnixNano())
 	s.mu.Lock()
 	for nc := range s.conns {
-		nc.Close()
+		nc.SetReadDeadline(cut) //nolint:errcheck
 	}
 	s.mu.Unlock()
-	s.connWG.Wait()
+	conns := make(chan struct{})
+	go func() {
+		s.connWG.Wait()
+		close(conns)
+	}()
+	select {
+	case <-conns:
+	case <-time.After(time.Until(cut) + drainReadGrace):
+		s.mu.Lock()
+		for nc := range s.conns {
+			nc.Close()
+		}
+		s.mu.Unlock()
+		<-conns
+	}
 	s.cancelBase()
 	// With no request able to start and none in flight, flush and release
 	// the persistent cache tier so the next daemon over this directory

@@ -38,7 +38,7 @@ const (
 	MRepairRounds = "parmem_repair_rounds_total"  // counter: conflict-repair re-duplication rounds
 
 	// Duplication.
-	MCopiesPlaced = "parmem_copies_placed_total" // counter{method}: extra copies placed
+	MCopiesPlaced = "parmem_copies_placed_total" // counter{method}: extra copies placed by fresh solves
 	MDegradations = "parmem_degradations_total"  // counter{fallback}: budget-exhaustion fallbacks
 
 	// Budget.
@@ -117,7 +117,7 @@ var metricHelp = map[string]string{
 	MColorings:        "Urgency-coloring runs over individual atoms.",
 	MUnassigned:       "Distribution of V_unassigned sizes per assignment phase.",
 	MRepairRounds:     "Conflict-repair rounds that re-ran duplication after forced replication.",
-	MCopiesPlaced:     "Extra value copies placed by the duplication strategy.",
+	MCopiesPlaced:     "Extra value copies placed by the duplication strategy; cache hits and reused incremental components add none.",
 	MDegradations:     "Budget-exhaustion degradations, by fallback strategy taken.",
 	MBudgetNodes:      "Search-budget nodes charged across all assignment phases.",
 	MIncrDirty:        "Conflict components recomputed by incremental delta runs.",
