@@ -214,7 +214,9 @@ fleet-trace-smoke:
 
 # gateway-smoke is the end-to-end fleet pass: boot two parmemd backends
 # (each with a persistent -cache-dir), front them with parmemgw, soak the
-# gateway with well-formed traffic, and SIGTERM one backend mid-run. The
+# gateway with fault injection on (garbage, truncated, slow-loris and
+# oversized frames, deadline storms, overload bursts — all hitting the
+# gateway's connection layer), and SIGTERM one backend mid-run. The
 # hash ring must fail the dead shard's keys over to the survivor without
 # the client noticing: the soak enforces >=99% availability and zero
 # dropped in-flight responses, then the gateway and the surviving backend
@@ -243,7 +245,7 @@ gateway-smoke:
 	if [ -z "$$gaddr" ]; then echo "gateway-smoke: gateway never announced"; cat gw-smoke-gw.log; kill $$pid1 $$pid2 $$gwpid 2>/dev/null; exit 1; fi; \
 	echo "gateway-smoke: gateway at $$gaddr over $$a1 + $$a2"; \
 	( sleep 4; echo "gateway-smoke: draining backend 2 mid-soak"; kill -TERM $$pid2 ) & \
-	./bin/parmemsoak -addr "$$gaddr" -duration 10s -summary GATEWAY_summary.json; soak=$$?; \
+	./bin/parmemsoak -addr "$$gaddr" -duration 10s -faults -summary GATEWAY_summary.json; soak=$$?; \
 	wait $$pid2; b2=$$?; \
 	kill -TERM $$gwpid; wait $$gwpid; gw=$$?; \
 	kill -TERM $$pid1; wait $$pid1; b1=$$?; \

@@ -51,13 +51,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"parmem"
@@ -102,82 +98,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	rec := telemetry.New()
-	var traceSink *telemetry.JSONLSink
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parmemd: -trace: %v\n", err)
-			os.Exit(1)
-		}
-		traceSink = telemetry.NewJSONLSink(f)
-		traceSink.WriteProcess("parmemd", rec.Tracer())
-		rec.AddSink(traceSink)
-	}
-	s, err := server.New(server.Config{
-		Addr:              *addr,
-		MaxInFlight:       *maxInFlight,
-		MaxQueue:          *maxQueue,
-		PerConnInFlight:   *perConn,
-		MaxFrameBytes:     *maxFrame,
-		MaxBatchItems:     *maxBatch,
-		DefaultDeadline:   *defDeadline,
-		MaxDeadline:       *maxDeadline,
-		MaxBudgetNodes:    *budgetNodes,
-		FrameTimeout:      *frameTimeout,
-		Workers:           *workers,
-		CacheCapacity:     *cacheCap,
-		CacheDir:          *cacheDir,
-		MaxCacheBytes:     *cacheBytes,
-		CacheReadOnly:     *cacheReadOnly,
-		Telemetry:         rec,
-		FlightDir:         *flightDir,
-		FlightLatency:     *flightLatency,
-		FlightMaxCaptures: *flightMax,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parmemd: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "parmemd: listening on %s\n", s.Addr())
-
-	if *telemetryAddr != "" {
-		ts, err := rec.Serve(*telemetryAddr)
-		switch {
-		case errors.Is(err, telemetry.ErrAddrInUse):
-			// The engine port bound fine; losing the observability endpoint
-			// is worth a warning, not the daemon.
-			fmt.Fprintf(os.Stderr, "parmemd: -telemetry-addr %s: %v; live endpoint disabled\n", *telemetryAddr, err)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "parmemd: %v\n", err)
-			os.Exit(1)
-		default:
-			defer ts.Close()
-			s.MountHealth(ts)
-			fmt.Fprintf(os.Stderr, "parmemd: telemetry on http://%s/metrics (health: /healthz, /readyz)\n", ts.Addr())
-		}
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "parmemd: %v: draining (grace %v)\n", sig, *drainGrace)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-	defer cancel()
-	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "parmemd: %v during drain: exiting now\n", sig)
-		os.Exit(1)
-	}()
-	if err := s.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "parmemd: drain: %v\n", err)
-		os.Exit(1)
-	}
-	if traceSink != nil {
-		if err := traceSink.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "parmemd: -trace: %v\n", err)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "parmemd: drained cleanly")
+	os.Exit(server.RunDaemon("parmemd", *traceFile, *telemetryAddr, *drainGrace, func(rec *telemetry.Recorder) (server.Service, error) {
+		return server.New(server.Config{
+			Addr:              *addr,
+			MaxInFlight:       *maxInFlight,
+			MaxQueue:          *maxQueue,
+			PerConnInFlight:   *perConn,
+			MaxFrameBytes:     *maxFrame,
+			MaxBatchItems:     *maxBatch,
+			DefaultDeadline:   *defDeadline,
+			MaxDeadline:       *maxDeadline,
+			MaxBudgetNodes:    *budgetNodes,
+			FrameTimeout:      *frameTimeout,
+			Workers:           *workers,
+			CacheCapacity:     *cacheCap,
+			CacheDir:          *cacheDir,
+			MaxCacheBytes:     *cacheBytes,
+			CacheReadOnly:     *cacheReadOnly,
+			Telemetry:         rec,
+			FlightDir:         *flightDir,
+			FlightLatency:     *flightLatency,
+			FlightMaxCaptures: *flightMax,
+		})
+	}))
 }

@@ -26,14 +26,10 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"parmem/internal/envflag"
@@ -49,7 +45,7 @@ func main() {
 		readyURLs     = flag.String("ready-urls", "", "comma-separated /readyz URLs, matched to -backends by position (optional)")
 		replicas      = flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0: default)")
 		maxFrame      = flag.Int("max-frame-bytes", server.DefaultMaxFrame, "largest accepted frame payload")
-		frameTimeout  = flag.Duration("frame-timeout", 10*time.Second, "bound on response writes")
+		frameTimeout  = flag.Duration("frame-timeout", 10*time.Second, "slow-loris guard: max wall time per frame read, and bound on response writes")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "backend health probe period")
 		probeTimeout  = flag.Duration("probe-timeout", 2*time.Second, "bound on one health probe")
 		fwdTimeout    = flag.Duration("forward-timeout", 60*time.Second, "bound on one forwarded request")
@@ -71,73 +67,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	rec := telemetry.New()
-	var traceSink *telemetry.JSONLSink
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parmemgw: -trace: %v\n", err)
-			os.Exit(1)
-		}
-		traceSink = telemetry.NewJSONLSink(f)
-		traceSink.WriteProcess("parmemgw", rec.Tracer())
-		rec.AddSink(traceSink)
-	}
-	g, err := gateway.New(gateway.Config{
-		Addr:           *addr,
-		Backends:       splitList(*backends),
-		ReadyURLs:      splitList(*readyURLs),
-		Replicas:       *replicas,
-		MaxFrameBytes:  *maxFrame,
-		FrameTimeout:   *frameTimeout,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		ForwardTimeout: *fwdTimeout,
-		Telemetry:      rec,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parmemgw: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "parmemgw: listening on %s\n", g.Addr())
-
-	if *telemetryAddr != "" {
-		ts, err := rec.Serve(*telemetryAddr)
-		switch {
-		case errors.Is(err, telemetry.ErrAddrInUse):
-			fmt.Fprintf(os.Stderr, "parmemgw: -telemetry-addr %s: %v; live endpoint disabled\n", *telemetryAddr, err)
-		case err != nil:
-			fmt.Fprintf(os.Stderr, "parmemgw: %v\n", err)
-			os.Exit(1)
-		default:
-			defer ts.Close()
-			g.MountHealth(ts)
-			fmt.Fprintf(os.Stderr, "parmemgw: telemetry on http://%s/metrics (health: /healthz, /readyz)\n", ts.Addr())
-		}
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
-	sig := <-sigs
-	fmt.Fprintf(os.Stderr, "parmemgw: %v: draining (grace %v)\n", sig, *drainGrace)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-	defer cancel()
-	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "parmemgw: %v during drain: exiting now\n", sig)
-		os.Exit(1)
-	}()
-	if err := g.Drain(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "parmemgw: drain: %v\n", err)
-		os.Exit(1)
-	}
-	if traceSink != nil {
-		if err := traceSink.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "parmemgw: -trace: %v\n", err)
-		}
-	}
-	fmt.Fprintln(os.Stderr, "parmemgw: drained cleanly")
+	os.Exit(server.RunDaemon("parmemgw", *traceFile, *telemetryAddr, *drainGrace, func(rec *telemetry.Recorder) (server.Service, error) {
+		return gateway.New(gateway.Config{
+			Addr:           *addr,
+			Backends:       splitList(*backends),
+			ReadyURLs:      splitList(*readyURLs),
+			Replicas:       *replicas,
+			MaxFrameBytes:  *maxFrame,
+			FrameTimeout:   *frameTimeout,
+			ProbeInterval:  *probeInterval,
+			ProbeTimeout:   *probeTimeout,
+			ForwardTimeout: *fwdTimeout,
+			Telemetry:      rec,
+		})
+	}))
 }
 
 // splitList splits a comma-separated flag value, dropping empty items.

@@ -16,15 +16,11 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parmem/internal/server"
@@ -45,8 +41,9 @@ type Config struct {
 	Replicas int
 	// MaxFrameBytes caps a frame payload; default server.DefaultMaxFrame.
 	MaxFrameBytes int
-	// FrameTimeout bounds one frame's read after its first byte and each
-	// response write; default 10s.
+	// FrameTimeout is the slow-loris guard: once a frame's first byte
+	// arrives, the whole frame must follow within it; it also bounds each
+	// response write. Default 10s.
 	FrameTimeout time.Duration
 	// ProbeInterval is the health-probe period; default 500ms.
 	ProbeInterval time.Duration
@@ -78,29 +75,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Gateway is a running parmemgw instance.
+// Gateway is a running parmemgw instance: the ring, probing, routing,
+// forwarding and trace injection behind the shared connection layer
+// (server.Front).
 type Gateway struct {
 	cfg      Config
-	ln       net.Listener
+	front    *server.Front
 	ring     *ring
 	backends []*backend
 
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	drainMu  sync.RWMutex
-	draining atomic.Bool
-	drained  chan struct{}
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	connWG  sync.WaitGroup
-	reqWG   sync.WaitGroup
 	probeWG sync.WaitGroup
 
-	mConnsOpen *telemetry.Gauge
-	mReqUS     map[server.Op]*telemetry.Histogram
+	mReqUS map[server.Op]*telemetry.Histogram
 }
 
 // New validates cfg, binds the listener, starts the health prober and the
@@ -110,23 +96,17 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("gateway: no backends configured")
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	fr, err := server.Listen("gateway", cfg.Addr, cfg.MaxFrameBytes, cfg.FrameTimeout)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	g := &Gateway{
-		cfg:        cfg,
-		ln:         ln,
-		ring:       newRing(cfg.Backends, cfg.Replicas),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		drained:    make(chan struct{}),
-		conns:      map[net.Conn]struct{}{},
-		mConnsOpen: cfg.Telemetry.Gauge(telemetry.MGatewayConnsOpen),
-		mReqUS:     map[server.Op]*telemetry.Histogram{},
+		cfg:    cfg,
+		front:  fr,
+		ring:   newRing(cfg.Backends, cfg.Replicas),
+		mReqUS: map[server.Op]*telemetry.Histogram{},
 	}
-	for _, op := range []server.Op{server.OpPing, server.OpCompile, server.OpAssign, server.OpBatch} {
+	for _, op := range server.RequestOps {
 		g.mReqUS[op] = cfg.Telemetry.Histogram(telemetry.MGatewayReqMicros, "op", op.String())
 	}
 	for i, addr := range cfg.Backends {
@@ -142,28 +122,28 @@ func New(cfg Config) (*Gateway, error) {
 	// One synchronous probe round so the first request after New sees
 	// real health instead of all-down.
 	for _, b := range g.backends {
-		b.probe(ctx, cfg.ProbeTimeout)
+		b.probe(fr.Context(), cfg.ProbeTimeout)
 	}
 	g.probeWG.Add(1)
 	go g.probeLoop()
-	go g.acceptLoop()
+	fr.Serve(server.FrontHooks{
+		Serve:     g.serveFrame,
+		Teardown:  g.stopBackends,
+		ConnsOpen: cfg.Telemetry.Gauge(telemetry.MGatewayConnsOpen),
+	})
 	return g, nil
 }
 
 // Addr returns the bound listen address.
-func (g *Gateway) Addr() string { return g.ln.Addr().String() }
+func (g *Gateway) Addr() string { return g.front.Addr() }
 
 // Draining reports whether a drain has begun.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
-// Healthy reports process liveness (the listener is up or draining
-// cleanly) — the /healthz answer.
-func (g *Gateway) Healthy() bool { return true }
+func (g *Gateway) Draining() bool { return g.front.Draining() }
 
 // Ready reports whether the gateway can accept new work: not draining
 // and at least one routable backend — the /readyz answer.
 func (g *Gateway) Ready() bool {
-	if g.draining.Load() {
+	if g.front.Draining() {
 		return false
 	}
 	for _, b := range g.backends {
@@ -175,19 +155,7 @@ func (g *Gateway) Ready() bool {
 }
 
 // MountHealth registers /healthz and /readyz on a telemetry server.
-func (g *Gateway) MountHealth(ts *telemetry.Server) {
-	probe := func(name string, ok func() bool) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			if ok() {
-				fmt.Fprintf(w, "%s ok\n", name)
-				return
-			}
-			http.Error(w, name+": unavailable", http.StatusServiceUnavailable)
-		})
-	}
-	ts.Handle("/healthz", probe("healthz", g.Healthy))
-	ts.Handle("/readyz", probe("readyz", g.Ready))
-}
+func (g *Gateway) MountHealth(ts *telemetry.Server) { g.front.MountHealth(ts, g.Ready) }
 
 func (g *Gateway) probeLoop() {
 	defer g.probeWG.Done()
@@ -195,89 +163,25 @@ func (g *Gateway) probeLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-g.baseCtx.Done():
+		case <-g.front.Context().Done():
 			return
 		case <-t.C:
 		}
 		for _, b := range g.backends {
-			b.probe(g.baseCtx, g.cfg.ProbeTimeout)
+			b.probe(g.front.Context(), g.cfg.ProbeTimeout)
 		}
 	}
 }
 
-func (g *Gateway) acceptLoop() {
-	for {
-		nc, err := g.ln.Accept()
-		if err != nil {
-			return // listener closed (drain)
-		}
-		g.mu.Lock()
-		if g.draining.Load() {
-			g.mu.Unlock()
-			nc.Close()
-			continue
-		}
-		g.conns[nc] = struct{}{}
-		g.mu.Unlock()
-		g.connWG.Add(1)
-		g.mConnsOpen.Add(1)
-		go g.serveConn(nc)
-	}
-}
-
-func (g *Gateway) serveConn(nc net.Conn) {
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, nc)
-		g.mu.Unlock()
-		nc.Close()
-		g.mConnsOpen.Add(-1)
-		g.connWG.Done()
-	}()
-	br := bufio.NewReaderSize(nc, 8192)
-	var wmu sync.Mutex
-	for {
-		nc.SetReadDeadline(time.Time{})
-		f, err := server.ReadFrame(br, g.cfg.MaxFrameBytes)
-		if err != nil {
-			return // protocol or transport error: drop the connection
-		}
-
-		// Atomic against Drain: once draining is set under the write
-		// lock, no new request can register with reqWG.
-		g.drainMu.RLock()
-		if g.draining.Load() {
-			g.drainMu.RUnlock()
-			g.respond(nc, &wmu, f, server.Response{
-				Code: server.CodeUnavailable, Error: "gateway: draining",
-				Trace: echoTrace(f.Payload),
-			})
-			continue
-		}
-		g.reqWG.Add(1)
-		g.drainMu.RUnlock()
-
-		go func(f server.Frame) {
-			defer g.reqWG.Done()
-			start := time.Now()
-			resp := g.process(f)
-			g.mReqUS[f.Op].ObserveExemplar(time.Since(start).Microseconds(), resp.Trace)
-			g.respond(nc, &wmu, f, resp)
-		}(f)
-	}
-}
-
-// respond writes a response frame for f; write errors drop the
-// connection (the read side will notice on its next read).
-func (g *Gateway) respond(nc net.Conn, wmu *sync.Mutex, f server.Frame, resp server.Response) {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		payload = []byte(`{"code":"INTERNAL","error":"gateway: unencodable response"}`)
-	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	nc.SetWriteDeadline(time.Now().Add(g.cfg.FrameTimeout))
-	server.WriteFrame(nc, server.Frame{Op: f.Op.Response(), ID: f.ID, Payload: payload})
+// serveFrame forwards (or, for pings, answers) one request on its own
+// goroutine.
+func (g *Gateway) serveFrame(c *server.Conn, f server.Frame) {
+	c.Go(f, func() {
+		start := time.Now()
+		resp := g.process(f)
+		g.mReqUS[f.Op].ObserveExemplar(time.Since(start).Microseconds(), resp.Trace)
+		c.Respond(f, resp)
+	})
 }
 
 // process answers one request frame: pings locally, everything else by
@@ -285,39 +189,15 @@ func (g *Gateway) respond(nc net.Conn, wmu *sync.Mutex, f server.Frame, resp ser
 func (g *Gateway) process(f server.Frame) server.Response {
 	switch f.Op {
 	case server.OpPing:
-		return server.Response{Code: server.CodeOK, Draining: g.draining.Load(),
-			Trace: echoTrace(f.Payload)}
+		return server.Response{Code: server.CodeOK, Draining: g.front.Draining(),
+			Trace: server.TraceEcho(f.Payload)}
 	case server.OpCompile, server.OpAssign, server.OpBatch, server.OpDelta:
 		return g.forward(f)
 	default:
 		return server.Response{Code: server.CodeInvalidArgument,
 			Error: fmt.Sprintf("gateway: unknown op %d", uint8(f.Op)),
-			Trace: echoTrace(f.Payload)}
+			Trace: server.TraceEcho(f.Payload)}
 	}
-}
-
-// payloadTrace extracts the optional wire trace context from a request
-// payload without interpreting the rest of it.
-func payloadTrace(payload []byte) string {
-	if len(payload) == 0 {
-		return ""
-	}
-	var t struct {
-		Trace string `json:"trace"`
-	}
-	if json.Unmarshal(payload, &t) != nil {
-		return ""
-	}
-	return t.Trace
-}
-
-// echoTrace renders the 32-hex trace id a locally answered request should
-// echo, or "" when the request is untraced.
-func echoTrace(payload []byte) string {
-	if tc, ok := telemetry.ParseTraceContext(payloadTrace(payload)); ok {
-		return tc.TraceID()
-	}
-	return ""
 }
 
 // injectTrace rewrites the payload's trace field to tc's wire form and
@@ -356,7 +236,7 @@ func (g *Gateway) forward(f server.Frame) server.Response {
 
 	// Adopt the client's trace or start one at the fleet edge, so every
 	// response carries a trace id and the daemon's spans link back here.
-	tc, ok := telemetry.ParseTraceContext(payloadTrace(f.Payload))
+	tc, ok := server.PayloadTrace(f.Payload)
 	if !ok {
 		tc = telemetry.NewTrace()
 	}
@@ -415,59 +295,26 @@ func (g *Gateway) forwardTo(b *backend, f server.Frame) (server.Response, error)
 	if err != nil {
 		return server.Response{}, err
 	}
-	ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.ForwardTimeout)
+	ctx, cancel := context.WithTimeout(g.front.Context(), g.cfg.ForwardTimeout)
 	defer cancel()
 	return c.DoRaw(ctx, f.Op, f.Payload)
 }
 
-// Drain gracefully stops the gateway: stop accepting, refuse new
-// requests with UNAVAILABLE, wait for in-flight forwards (bounded by
-// ctx), then close connections and backend clients.
-func (g *Gateway) Drain(ctx context.Context) error {
-	g.drainMu.Lock()
-	first := g.draining.CompareAndSwap(false, true)
-	g.drainMu.Unlock()
-	if !first {
-		<-g.drained
-		return nil
-	}
-	g.ln.Close()
+// Drain gracefully stops the gateway (see server.Front.Drain): stop
+// accepting, refuse new requests with UNAVAILABLE, wait for in-flight
+// forwards (bounded by ctx), answer frames already sent, then stop probing
+// and close the backend clients.
+func (g *Gateway) Drain(ctx context.Context) error { return g.front.Drain(ctx) }
 
-	done := make(chan struct{})
-	go func() {
-		g.reqWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = fmt.Errorf("gateway: drain grace period expired: %w", ctx.Err())
-		g.cancelBase()
-		<-done
-	}
-
-	g.mu.Lock()
-	for nc := range g.conns {
-		nc.Close()
-	}
-	g.mu.Unlock()
-	g.connWG.Wait()
-	g.cancelBase()
+// stopBackends is the drain's teardown: the front has canceled its
+// context, so the prober is exiting.
+func (g *Gateway) stopBackends() error {
 	g.probeWG.Wait()
 	for _, b := range g.backends {
 		b.close()
 	}
-	close(g.drained)
-	return err
+	return nil
 }
 
 // Close hard-stops the gateway.
-func (g *Gateway) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := g.Drain(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	return nil
-}
+func (g *Gateway) Close() error { return g.front.Close() }

@@ -7,6 +7,7 @@ import (
 
 	"parmem/internal/benchprog"
 	"parmem/internal/server"
+	"parmem/internal/telemetry"
 )
 
 // bootBackend starts one parmemd on a free port.
@@ -221,5 +222,35 @@ func TestGatewayReady(t *testing.T) {
 			t.Fatal("gateway still ready with its only backend dead")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestGatewayDeltaLatencyRecorded: a delta through the gateway lands in the
+// gateway's request-latency histogram like every other op.
+func TestGatewayDeltaLatencyRecorded(t *testing.T) {
+	b := bootBackend(t)
+	rec := telemetry.New()
+	g, err := New(Config{Addr: "127.0.0.1:0", Backends: []string{b.Addr()}, Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	c, err := server.Dial(g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	resp, err := c.Assign(ctx, server.AssignRequest{Instrs: [][]int{{0, 1, 2}, {1, 2, 3}}, K: 4, Hold: "base"})
+	if err != nil || resp.Code != server.CodeOK {
+		t.Fatalf("hold through gateway: %+v, %v", resp, err)
+	}
+	resp, err = c.Delta(ctx, server.DeltaRequest{Base: "base", Added: [][]int{{0, 3}}})
+	if err != nil || resp.Code != server.CodeOK {
+		t.Fatalf("delta through gateway: %+v, %v", resp, err)
+	}
+	if got := rec.MetricsSnapshot()[`parmem_gateway_request_us{op="delta"}_count`]; got < 1 {
+		t.Fatalf(`parmem_gateway_request_us{op="delta"} count = %d, want >= 1`, got)
 	}
 }

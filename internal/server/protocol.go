@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire constants.
@@ -95,14 +96,11 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// RequestOps lists every request op the server handles.
+var RequestOps = []Op{OpPing, OpCompile, OpAssign, OpBatch, OpDelta}
+
 // knownRequest reports whether o is an op the server handles.
-func knownRequest(o Op) bool {
-	switch o {
-	case OpPing, OpCompile, OpAssign, OpBatch, OpDelta:
-		return true
-	}
-	return false
-}
+func knownRequest(o Op) bool { return slices.Contains(RequestOps, o) }
 
 // Code classifies a response. The daemon never answers a well-framed
 // request with anything but one of these, so clients can switch on the

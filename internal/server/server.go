@@ -1,20 +1,15 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parmem"
@@ -140,43 +135,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is a running parmemd instance.
+// Server is a running parmemd instance: the engine handlers, admission,
+// the per-connection cap, held sessions and the flight recorder behind the
+// shared connection layer (Front).
 type Server struct {
 	cfg   Config
-	ln    net.Listener
+	front *Front
 	store parmem.CacheStore // nil when caching is disabled
 	gate  *gate
 
-	// baseCtx parents every request context; cancelBase deadline-cancels
-	// all in-flight work when a drain overruns its grace period.
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	// drainMu makes "check draining, then track the request" atomic
-	// against Drain setting the flag: once Drain holds the write lock, no
-	// further reqWG.Add can happen, so its Wait is race-free and every
-	// tracked request's response is written before connections close.
-	drainMu  sync.RWMutex
-	draining atomic.Bool
-	drained  chan struct{} // closed when Drain completes
-	// readCut is the read cut-off (unix nanoseconds) Drain sets once every
-	// tracked response is written; zero while serving. Frames that reach a
-	// connection before it are still read and answered UNAVAILABLE.
-	readCut atomic.Int64
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	connWG sync.WaitGroup // connection read loops
-	reqWG  sync.WaitGroup // in-flight requests, through response write
-
 	flight *flightRecorder
 
-	// Resolved nil-safe instruments (all no-ops without Telemetry).
-	mConnsOpen  *telemetry.Gauge
-	mConnsTotal *telemetry.Counter
-	mDrainUS    *telemetry.Gauge
-	mQueueWait  *telemetry.Histogram
+	mQueueWait *telemetry.Histogram // nil-safe; a no-op without Telemetry
 }
 
 // New validates cfg, binds the listener and starts the accept loop. The
@@ -184,15 +154,14 @@ type Server struct {
 // (hard).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	ln, err := net.Listen("tcp", cfg.Addr)
+	if cfg.CacheDir != "" && cfg.CacheCapacity < 0 {
+		return nil, fmt.Errorf("server: CacheDir set but caching disabled (CacheCapacity < 0)")
+	}
+	fr, err := Listen("server", cfg.Addr, cfg.MaxFrameBytes, cfg.FrameTimeout)
 	if err != nil {
 		return nil, err
 	}
 	var store parmem.CacheStore
-	if cfg.CacheDir != "" && cfg.CacheCapacity < 0 {
-		ln.Close()
-		return nil, fmt.Errorf("server: CacheDir set but caching disabled (CacheCapacity < 0)")
-	}
 	if cfg.CacheCapacity >= 0 {
 		store, err = parmem.OpenCacheStore(parmem.CacheConfig{
 			MemoryEntries: cfg.CacheCapacity,
@@ -201,73 +170,48 @@ func New(cfg Config) (*Server, error) {
 			ReadOnly:      cfg.CacheReadOnly && cfg.CacheDir != "",
 		})
 		if err != nil {
-			ln.Close()
+			fr.ln.Close()
 			return nil, fmt.Errorf("server: opening cache dir: %w", err)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:         cfg,
-		ln:          ln,
-		store:       store,
-		gate:        newGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.Telemetry),
-		baseCtx:     ctx,
-		cancelBase:  cancel,
-		drained:     make(chan struct{}),
-		conns:       map[net.Conn]struct{}{},
-		flight:      newFlightRecorder(cfg),
-		mConnsOpen:  cfg.Telemetry.Gauge(telemetry.MServerConnsOpen),
-		mConnsTotal: cfg.Telemetry.Counter(telemetry.MServerConnsTotal),
-		mDrainUS:    cfg.Telemetry.Gauge(telemetry.MServerDrainMicros),
-		mQueueWait:  cfg.Telemetry.Histogram(telemetry.MServerQueueWaitUs),
+		cfg:        cfg,
+		front:      fr,
+		store:      store,
+		gate:       newGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.Telemetry),
+		flight:     newFlightRecorder(cfg),
+		mQueueWait: cfg.Telemetry.Histogram(telemetry.MServerQueueWaitUs),
 	}
 	// The flight recorder's span ring listens to every span the engine
 	// emits, so a capture can include the triggering request's full tree.
 	cfg.Telemetry.AddSink(s.flight.spans)
-	s.connWG.Add(1)
-	go s.acceptLoop()
+	fr.Serve(FrontHooks{
+		Serve:     s.serveFrame,
+		Teardown:  s.closeStore,
+		ConnsOpen: cfg.Telemetry.Gauge(telemetry.MServerConnsOpen),
+		Telemetry: cfg.Telemetry,
+	})
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.front.Addr() }
 
 // Draining reports whether a drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.front.Draining() }
 
 // Healthy reports process liveness (the /healthz answer): true until the
 // drain has fully completed.
-func (s *Server) Healthy() bool {
-	select {
-	case <-s.drained:
-		return false
-	default:
-		return true
-	}
-}
+func (s *Server) Healthy() bool { return s.front.Healthy() }
 
 // Ready reports readiness for new work (the /readyz answer): serving and
 // not draining.
-func (s *Server) Ready() bool { return !s.draining.Load() && s.Healthy() }
+func (s *Server) Ready() bool { return !s.front.Draining() && s.front.Healthy() }
 
-// MountHealth mounts /healthz (process liveness) and /readyz (accepting
-// new work) on a telemetry endpoint, so one scrape address answers
-// metrics, profiles and orchestration probes. During a drain /readyz
-// flips to 503 immediately — load balancers stop routing — while
-// /healthz stays 200 until the drain completes, so the process is not
-// killed mid-drain.
+// MountHealth mounts /healthz, /readyz (see Front.MountHealth) and the
+// flight recorder's /debug/flight on a telemetry endpoint.
 func (s *Server) MountHealth(ts *telemetry.Server) {
-	probe := func(name string, ok func() bool) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			if ok() {
-				fmt.Fprintf(w, "%s ok\n", name)
-				return
-			}
-			http.Error(w, name+": draining", http.StatusServiceUnavailable)
-		})
-	}
-	ts.Handle("/healthz", probe("healthz", s.Healthy))
-	ts.Handle("/readyz", probe("readyz", s.Ready))
+	s.front.MountHealth(ts, s.Ready)
 	ts.Handle("/debug/flight", http.HandlerFunc(s.serveFlightIndex))
 	ts.Handle("/debug/flight/", http.HandlerFunc(s.serveFlightCapture))
 }
@@ -325,47 +269,10 @@ func (s *Server) FlightRecords() []FlightRecord { return s.flight.Records() }
 // FlightCaptures exposes the retained flight captures (oldest first).
 func (s *Server) FlightCaptures() []*FlightCapture { return s.flight.Captures() }
 
-func (s *Server) acceptLoop() {
-	defer s.connWG.Done()
-	for {
-		nc, err := s.ln.Accept()
-		if err != nil {
-			// Listener closed (drain/close) or a transient accept error;
-			// either way one bad accept never stops the loop — only a
-			// closed listener does.
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue
-		}
-		s.mu.Lock()
-		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
-		s.mConnsTotal.Inc()
-		s.mConnsOpen.Add(1)
-		s.connWG.Add(1)
-		go s.serveConn(nc)
-	}
-}
-
 // maxHeldSessions bounds the incremental results one connection may hold;
 // holding another past the cap evicts the oldest (FIFO). Sessions die with
 // the connection — they are working state, not a cache.
 const maxHeldSessions = 8
-
-// conn is the per-connection state shared by its request goroutines.
-type conn struct {
-	nc  net.Conn
-	wmu sync.Mutex    // serializes response frames
-	sem chan struct{} // per-connection concurrency cap
-
-	// Held incremental sessions, by client-chosen name. AssignResult is
-	// immutable (a delta forks a new one), so concurrent deltas against one
-	// base are safe; the mutex only guards the map itself.
-	smu      sync.Mutex
-	sessions map[string]*heldSession
-	order    []string // FIFO eviction order
-}
 
 // heldSession is one retained incremental result plus the configuration
 // it was compiled under — deltas must replay the same K and method.
@@ -376,7 +283,7 @@ type heldSession struct {
 
 // holdSession retains res under name, evicting the oldest session past the
 // cap. Re-holding an existing name replaces it in place.
-func (c *conn) holdSession(name string, s *heldSession) {
+func (c *Conn) holdSession(name string, s *heldSession) {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	if c.sessions == nil {
@@ -393,117 +300,62 @@ func (c *conn) holdSession(name string, s *heldSession) {
 }
 
 // session looks up a held session by name.
-func (c *conn) session(name string) (*heldSession, bool) {
+func (c *Conn) session(name string) (*heldSession, bool) {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	s, ok := c.sessions[name]
 	return s, ok
 }
 
-// writeFrame writes one response frame under the connection's write lock
-// and deadline. A peer that stops reading (full socket buffer) trips the
-// deadline and the connection is abandoned — it cannot wedge the writer
-// goroutine forever.
-func (s *Server) writeFrame(c *conn, f Frame) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(s.cfg.FrameTimeout)) //nolint:errcheck
-	err := writeFrame(c.nc, f)
-	c.nc.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	return err
-}
-
-// respond marshals and writes a response, counting it in the request
-// metrics.
-func (s *Server) respond(c *conn, op Op, id uint64, resp Response) {
-	payload, err := json.Marshal(resp)
-	if err != nil { // unreachable: Response marshals cleanly by shape
-		payload = []byte(`{"code":"INTERNAL","error":"response marshal failed"}`)
+// serveFrame answers one request read from c: unknown ops and requests
+// past the per-connection cap at once and typed, everything else on its own
+// goroutine through process.
+func (s *Server) serveFrame(c *Conn, f Frame) {
+	start := time.Now()
+	if !knownRequest(f.Op) {
+		// The frame parsed cleanly, so the stream is still in sync:
+		// answer and keep the connection.
+		s.front.badFrame("unknown_op")
+		c.Respond(f, Response{Code: CodeInvalidArgument, Error: fmt.Sprintf("unknown op %d", uint8(f.Op))})
+		return
 	}
-	s.cfg.Telemetry.Counter(telemetry.MServerRequests, "op", op.String(), "code", string(resp.Code)).Inc()
-	s.writeFrame(c, Frame{Op: op.Response(), ID: id, Payload: payload}) //nolint:errcheck // peer gone; nothing to tell it
-}
-
-func (s *Server) badFrame(kind string) {
-	s.cfg.Telemetry.Counter(telemetry.MServerBadFrames, "kind", kind).Inc()
-}
-
-// serveConn reads frames and fans requests out to handler goroutines,
-// bounded by the per-connection cap. Framing failures end only this
-// connection; the listener and sibling connections keep serving.
-func (s *Server) serveConn(nc net.Conn) {
-	defer s.connWG.Done()
-	c := &conn{nc: nc, sem: make(chan struct{}, s.cfg.PerConnInFlight)}
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, nc)
-		s.mu.Unlock()
-		s.mConnsOpen.Add(-1)
-		nc.Close()
-	}()
-	br := bufio.NewReaderSize(nc, 4096)
-	for {
-		f, err := s.readFrame(nc, br)
-		if err != nil {
-			s.rejectFrame(c, f, err)
-			return
+	if c.inflight.Add(1) > int32(s.cfg.PerConnInFlight) {
+		c.inflight.Add(-1)
+		// Per-connection cap: shed immediately and typed, never a
+		// silent hang behind the connection's own backlog.
+		s.cfg.Telemetry.Counter(telemetry.MServerShed, "reason", "per_conn").Inc()
+		c.Respond(f, Response{Code: CodeResourceExhausted, Trace: TraceEcho(f.Payload),
+			Error: fmt.Sprintf("connection already has %d requests in flight", s.cfg.PerConnInFlight)})
+		return
+	}
+	started := c.Go(f, func() {
+		defer c.inflight.Add(-1)
+		var meta reqMeta
+		resp := s.process(c, f, &meta)
+		resp.Trace = meta.trace.TraceID()
+		// Record before responding: a client holding a slow, shed or
+		// degraded response can then always fetch its capture.
+		us := time.Since(start).Microseconds()
+		rec := FlightRecord{
+			Op:          f.Op.String(),
+			Trace:       resp.Trace,
+			Code:        string(resp.Code),
+			StartUnixUS: start.UnixMicro(),
+			LatencyUS:   us,
+			QueueUS:     meta.queueUS,
 		}
-		start := time.Now()
-		if !knownRequest(f.Op) {
-			// The frame parsed cleanly, so the stream is still in sync:
-			// answer and keep the connection.
-			s.badFrame("unknown_op")
-			s.respond(c, f.Op, f.ID, Response{Code: CodeInvalidArgument, Error: fmt.Sprintf("unknown op %d", uint8(f.Op))})
-			continue
+		if resp.Result != nil {
+			rec.BudgetNodes = resp.Result.BudgetNodes
+			rec.CacheHit = resp.Result.CacheHit
+			rec.Degraded = resp.Result.Degraded
 		}
-		select {
-		case c.sem <- struct{}{}:
-		default:
-			// Per-connection cap: shed immediately and typed, never a
-			// silent hang behind the connection's own backlog.
-			s.cfg.Telemetry.Counter(telemetry.MServerShed, "reason", "per_conn").Inc()
-			s.respond(c, f.Op, f.ID, Response{Code: CodeResourceExhausted, Trace: traceEcho(f.Payload),
-				Error: fmt.Sprintf("connection already has %d requests in flight", s.cfg.PerConnInFlight)})
-			continue
-		}
-		s.drainMu.RLock()
-		if s.draining.Load() {
-			s.drainMu.RUnlock()
-			<-c.sem
-			s.cfg.Telemetry.Counter(telemetry.MServerShed, "reason", "draining").Inc()
-			s.respond(c, f.Op, f.ID, Response{Code: CodeUnavailable, Trace: traceEcho(f.Payload),
-				Error: "server is draining", Draining: true})
-			continue
-		}
-		s.reqWG.Add(1)
-		s.drainMu.RUnlock()
-		go func(f Frame) {
-			defer s.reqWG.Done()
-			defer func() { <-c.sem }()
-			var meta reqMeta
-			resp := s.process(c, f, &meta)
-			resp.Trace = meta.trace.TraceID()
-			// Record before responding: a client holding a slow, shed or
-			// degraded response can then always fetch its capture.
-			us := time.Since(start).Microseconds()
-			rec := FlightRecord{
-				Op:          f.Op.String(),
-				Trace:       resp.Trace,
-				Code:        string(resp.Code),
-				StartUnixUS: start.UnixMicro(),
-				LatencyUS:   us,
-				QueueUS:     meta.queueUS,
-			}
-			if resp.Result != nil {
-				rec.BudgetNodes = resp.Result.BudgetNodes
-				rec.CacheHit = resp.Result.CacheHit
-				rec.Degraded = resp.Result.Degraded
-			}
-			s.flight.record(rec)
-			s.respond(c, f.Op, f.ID, resp)
-			s.cfg.Telemetry.Histogram(telemetry.MServerReqMicros, "op", f.Op.String()).
-				ObserveExemplar(time.Since(start).Microseconds(), resp.Trace)
-		}(f)
+		s.flight.record(rec)
+		c.Respond(f, resp)
+		s.cfg.Telemetry.Histogram(telemetry.MServerReqMicros, "op", f.Op.String()).
+			ObserveExemplar(time.Since(start).Microseconds(), resp.Trace)
+	})
+	if !started {
+		c.inflight.Add(-1)
 	}
 }
 
@@ -524,26 +376,6 @@ func ingressTrace(wire string) telemetry.TraceContext {
 	return telemetry.NewTrace()
 }
 
-// traceEcho extracts the trace id to echo from an unprocessed payload — the
-// shed paths answer before any handler parses the request, but the caller
-// still deserves its correlation id back.
-func traceEcho(payload []byte) string {
-	if len(payload) == 0 {
-		return ""
-	}
-	var t struct {
-		Trace string `json:"trace"`
-	}
-	if json.Unmarshal(payload, &t) != nil {
-		return ""
-	}
-	tc, ok := telemetry.ParseTraceContext(t.Trace)
-	if !ok {
-		return ""
-	}
-	return tc.TraceID()
-}
-
 // engineCtx returns the context engine work should run under: carrying the
 // rpc span's origin when spans are recorded (the engine's root span becomes
 // its local child), otherwise the wire trace context as-is.
@@ -554,82 +386,13 @@ func engineCtx(ctx context.Context, sp *telemetry.Span, tc telemetry.TraceContex
 	return telemetry.ContextWithTrace(ctx, tc)
 }
 
-// readFrame reads one frame with the slow-loris guard: wait for the first
-// byte without a deadline (idle connections are fine), then require the
-// rest of the frame within FrameTimeout.
-func (s *Server) readFrame(nc net.Conn, br *bufio.Reader) (Frame, error) {
-	s.setReadDeadline(nc, time.Time{})
-	b0, err := br.ReadByte()
-	if err != nil {
-		return Frame{}, err
-	}
-	s.setReadDeadline(nc, time.Now().Add(s.cfg.FrameTimeout))
-	var hdr [HeaderLen]byte
-	hdr[0] = b0
-	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-		return Frame{}, fmt.Errorf("truncated header: %w", err)
-	}
-	op, id, n, err := parseHeader(&hdr, s.cfg.MaxFrameBytes)
-	if err != nil {
-		return Frame{Op: op, ID: id}, err
-	}
-	f := Frame{Op: op, ID: id}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(br, f.Payload); err != nil {
-			return Frame{}, fmt.Errorf("truncated payload: %w", err)
-		}
-	}
-	return f, nil
-}
-
-// setReadDeadline sets nc's read deadline to t (zero: none), capped at the
-// drain's read cut-off once there is one. The cut-off is loaded after the
-// set, so a concurrent Drain either sees its own deadline win or is seen
-// here.
-func (s *Server) setReadDeadline(nc net.Conn, t time.Time) {
-	nc.SetReadDeadline(t) //nolint:errcheck
-	if ns := s.readCut.Load(); ns != 0 {
-		if cut := time.Unix(0, ns); t.IsZero() || cut.Before(t) {
-			nc.SetReadDeadline(cut) //nolint:errcheck
-		}
-	}
-}
-
-// rejectFrame classifies a framing failure, emits a best-effort typed
-// error frame where the peer can still use one, and lets the connection
-// close. EOF (peer hung up cleanly) is not a fault.
-func (s *Server) rejectFrame(c *conn, f Frame, err error) {
-	switch {
-	case errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed):
-		return
-	case s.readCut.Load() != 0 && errors.Is(err, os.ErrDeadlineExceeded):
-		// The drain's read cut-off, not a slow peer.
-		return
-	case errors.Is(err, ErrFrameSize):
-		// Header was sane, payload is just too big: tell the peer why
-		// before closing (we will not read the oversized payload).
-		s.badFrame("oversized")
-		s.respond(c, f.Op, f.ID, Response{Code: CodeInvalidArgument, Error: err.Error()})
-	case errors.Is(err, ErrBadMagic) || errors.Is(err, ErrBadVersion):
-		// Garbage stream: nothing after this point can be trusted, and a
-		// response frame would be garbage to whatever the peer is.
-		s.badFrame("bad_magic")
-	case errors.Is(err, io.ErrUnexpectedEOF):
-		s.badFrame("truncated")
-	default:
-		// Read timeout (slow loris) or transport error mid-frame.
-		s.badFrame("timeout")
-	}
-}
-
 // process executes one admitted-or-shed request and builds its response.
 // It never panics: a poisoned request is isolated here and answered with
 // a typed INTERNAL response while sibling requests keep running. Each known
 // request resolves its trace context at ingress (recorded into meta for the
 // response echo and the flight record) and runs under a per-request rpc
 // span that parents the engine's own span tree.
-func (s *Server) process(c *conn, f Frame, meta *reqMeta) (resp Response) {
+func (s *Server) process(c *Conn, f Frame, meta *reqMeta) (resp Response) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp = Response{Code: CodeInternal, Phase: "server/handler",
@@ -643,7 +406,7 @@ func (s *Server) process(c *conn, f Frame, meta *reqMeta) (resp Response) {
 			json.Unmarshal(f.Payload, &req) //nolint:errcheck // a garbled ping payload still gets a pong
 		}
 		meta.trace = ingressTrace(req.Trace)
-		return Response{Code: CodeOK, Draining: s.draining.Load()}
+		return Response{Code: CodeOK, Draining: s.front.Draining()}
 	case OpCompile:
 		var req CompileRequest
 		if err := json.Unmarshal(f.Payload, &req); err != nil {
@@ -684,7 +447,7 @@ func (s *Server) process(c *conn, f Frame, meta *reqMeta) (resp Response) {
 	return Response{Code: CodeInvalidArgument, Error: fmt.Sprintf("unknown op %d", uint8(f.Op))}
 }
 
-// requestCtx maps a request's deadline_ms onto a context under baseCtx,
+// requestCtx maps a request's deadline_ms onto a context under the front's,
 // clamped to MaxDeadline.
 func (s *Server) requestCtx(deadlineMS int64) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultDeadline
@@ -697,7 +460,7 @@ func (s *Server) requestCtx(deadlineMS int64) (context.Context, context.CancelFu
 	if d > s.cfg.MaxDeadline {
 		d = s.cfg.MaxDeadline
 	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, d)
+	ctx, cancel := context.WithTimeout(s.front.Context(), d)
 	return ctx, cancel, nil
 }
 
@@ -853,7 +616,7 @@ func (s *Server) compileOptions(k int, strategy, method string, nodes int64) (pa
 	}, nil
 }
 
-func (s *Server) handleAssign(c *conn, req AssignRequest, meta *reqMeta, sp *telemetry.Span) Response {
+func (s *Server) handleAssign(c *Conn, req AssignRequest, meta *reqMeta, sp *telemetry.Span) Response {
 	st, err := parseStrategy(req.Strategy)
 	if err != nil {
 		return Response{Code: CodeInvalidArgument, Error: err.Error()}
@@ -907,7 +670,7 @@ func (s *Server) handleAssign(c *conn, req AssignRequest, meta *reqMeta, sp *tel
 
 // handleDelta patches a held incremental session. The configuration is the
 // base's; only the budget and deadline come from the request.
-func (s *Server) handleDelta(c *conn, req DeltaRequest, meta *reqMeta, sp *telemetry.Span) Response {
+func (s *Server) handleDelta(c *Conn, req DeltaRequest, meta *reqMeta, sp *telemetry.Span) Response {
 	if req.Base == "" {
 		return Response{Code: CodeInvalidArgument, Error: "delta has no base session"}
 	}
@@ -1036,90 +799,22 @@ func summarize(al parmem.Allocation, withCopies bool) *AllocSummary {
 	return sum
 }
 
-// drainReadGrace is how long a drain keeps reading frames its peers sent
-// after the last tracked response, answering each UNAVAILABLE.
-const drainReadGrace = 100 * time.Millisecond
+// Drain gracefully shuts the server down (see Front.Drain) and then
+// flushes and releases the persistent cache tier, so the next daemon over
+// its directory opens a complete, unlocked log. Safe to call once;
+// subsequent calls wait for the first.
+func (s *Server) Drain(ctx context.Context) error { return s.front.Drain(ctx) }
 
-// Drain gracefully shuts the server down: stop accepting connections,
-// refuse new requests on existing ones with UNAVAILABLE, let in-flight
-// work finish, and — if ctx expires first — deadline-cancel the stragglers
-// so even they get a typed response. Every admitted request has its
-// response written before Drain returns: zero in-flight responses are
-// dropped, and a frame that reaches the server within drainReadGrace of
-// the last of them is answered UNAVAILABLE. Safe to call once; subsequent
-// calls wait for the first.
-func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	first := s.draining.CompareAndSwap(false, true)
-	s.drainMu.Unlock()
-	if !first {
-		<-s.drained
+// closeStore is the drain's teardown: with no request able to start and
+// none in flight, close the cache store.
+func (s *Server) closeStore() error {
+	if s.store == nil {
 		return nil
 	}
-	start := time.Now()
-	s.ln.Close()
-
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Grace period over: cancel every in-flight request. The engine
-		// polls cancellation at phase boundaries and inside its search
-		// loops, so this converges quickly — and the handlers still
-		// write their (CANCELED) responses before reqWG releases.
-		err = fmt.Errorf("server: drain grace period expired; canceled in-flight work: %w", ctx.Err())
-		s.cancelBase()
-		<-done
+	if err := s.store.Close(); err != nil {
+		return fmt.Errorf("server: closing cache store: %w", err)
 	}
-
-	// All tracked responses are written. Frames already sent on a
-	// connection are still read and answered UNAVAILABLE until the read
-	// cut-off, where each connection closes itself; closing a socket that
-	// holds unread frames would reset the peer and lose their answers. A
-	// hard stop (ctx expired) cuts off at once. A connection still open a
-	// grace later is stuck writing to a peer that stopped reading.
-	cut := time.Now()
-	if ctx.Err() == nil {
-		cut = cut.Add(drainReadGrace)
-	}
-	s.readCut.Store(cut.UnixNano())
-	s.mu.Lock()
-	for nc := range s.conns {
-		nc.SetReadDeadline(cut) //nolint:errcheck
-	}
-	s.mu.Unlock()
-	conns := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(conns)
-	}()
-	select {
-	case <-conns:
-	case <-time.After(time.Until(cut) + drainReadGrace):
-		s.mu.Lock()
-		for nc := range s.conns {
-			nc.Close()
-		}
-		s.mu.Unlock()
-		<-conns
-	}
-	s.cancelBase()
-	// With no request able to start and none in flight, flush and release
-	// the persistent cache tier so the next daemon over this directory
-	// opens a complete, unlocked log.
-	if s.store != nil {
-		if cerr := s.store.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("server: closing cache store: %w", cerr)
-		}
-	}
-	s.mDrainUS.Set(time.Since(start).Microseconds())
-	close(s.drained)
-	return err
+	return nil
 }
 
 // CacheStats snapshots the shared allocation cache; ok is false when
@@ -1142,11 +837,4 @@ func (s *Server) DiskCacheStats() (st parmem.DiskCacheStats, ok bool) {
 
 // Close hard-stops the server: cancel all work, close everything, wait.
 // Prefer Drain; Close is for tests and fatal teardown.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // a pre-expired drain deadline = cancel in-flight work now
-	if err := s.Drain(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		return err
-	}
-	return nil
-}
+func (s *Server) Close() error { return s.front.Close() }

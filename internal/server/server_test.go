@@ -2,11 +2,7 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"reflect"
@@ -156,104 +152,6 @@ func TestMalformedPayloadKeepsConnection(t *testing.T) {
 	resp, err = c.Compile(ctx, CompileRequest{Src: testSrc})
 	if err != nil || resp.Code != CodeOK {
 		t.Fatalf("connection poisoned: %+v, %v", resp, err)
-	}
-}
-
-func TestGarbageStreamClosesOnlyThatConnection(t *testing.T) {
-	s := newTestServer(t, Config{})
-
-	nc, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if _, err := nc.Write([]byte("GET / HTTP/1.1\r\nHost: nope\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 64)
-	if _, err := nc.Read(buf); err == nil {
-		// Drain until close; the server must hang up.
-		for err == nil {
-			_, err = nc.Read(buf)
-		}
-	}
-
-	// A sibling connection is unaffected.
-	c := dialTest(t, s)
-	resp, err := c.Ping(context.Background())
-	if err != nil || resp.Code != CodeOK {
-		t.Fatalf("listener damaged by garbage stream: %+v, %v", resp, err)
-	}
-}
-
-func TestOversizedFrameTypedReject(t *testing.T) {
-	s := newTestServer(t, Config{MaxFrameBytes: 1024})
-
-	nc, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	var hdr [HeaderLen]byte
-	binary.BigEndian.PutUint16(hdr[0:2], Magic)
-	hdr[2] = Version
-	hdr[3] = uint8(OpCompile)
-	binary.BigEndian.PutUint64(hdr[4:12], 42)
-	binary.BigEndian.PutUint32(hdr[12:16], 1<<20)
-	if _, err := nc.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	f, err := readFrame(nc, DefaultMaxFrame)
-	if err != nil {
-		t.Fatalf("expected a typed reject frame, got %v", err)
-	}
-	if f.ID != 42 || !f.Op.IsResponse() {
-		t.Fatalf("reject frame should echo the request id: %+v", f)
-	}
-	if !strings.Contains(string(f.Payload), string(CodeInvalidArgument)) {
-		t.Fatalf("reject payload: %s", f.Payload)
-	}
-	// The connection is then closed (the payload was never read, so the
-	// stream cannot stay in sync).
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(nc, DefaultMaxFrame); err == nil {
-		t.Fatal("connection should be closed after an oversized frame")
-	}
-}
-
-func TestSlowLorisKilled(t *testing.T) {
-	s := newTestServer(t, Config{FrameTimeout: 200 * time.Millisecond})
-
-	nc, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	f := appendFrame(nil, Frame{Op: OpPing, ID: 1})
-	// First byte opens the frame window; then stall.
-	if _, err := nc.Write(f[:1]); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 16)
-	var rerr error
-	for rerr == nil {
-		_, rerr = nc.Read(buf)
-	}
-	if errors.Is(rerr, io.EOF) == false && !strings.Contains(rerr.Error(), "reset") {
-		t.Logf("connection ended with: %v", rerr)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("slow-loris connection survived %v; frame timeout not enforced", elapsed)
-	}
-
-	// The daemon is still serving.
-	c := dialTest(t, s)
-	if resp, err := c.Ping(context.Background()); err != nil || resp.Code != CodeOK {
-		t.Fatalf("server unhealthy after slow loris: %+v, %v", resp, err)
 	}
 }
 
@@ -481,64 +379,6 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 	if rec.MetricsSnapshot()["parmem_server_drain_us"] == 0 {
 		t.Fatal("drain duration metric not recorded")
-	}
-}
-
-// TestDrainAnswersUnreadFrames drains right after a burst of frames lands
-// on a connection: frames the server has not read yet when the last
-// tracked response is written must still be answered (UNAVAILABLE), not
-// lost to a reset connection.
-func TestDrainAnswersUnreadFrames(t *testing.T) {
-	const rounds, burst = 10, 200
-	for r := 0; r < rounds; r++ {
-		s := newTestServer(t, Config{PerConnInFlight: burst})
-		nc, err := net.Dial("tcp", s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One answered ping first: a connection still in the listener's
-		// backlog when the drain closes the listener was never accepted,
-		// and the kernel resets it.
-		if err := WriteFrame(nc, Frame{Op: OpPing, ID: 1 << 32}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadFrame(nc, DefaultMaxFrame); err != nil {
-			t.Fatal(err)
-		}
-		var buf []byte
-		for i := 1; i <= burst; i++ {
-			buf = appendFrame(buf, Frame{Op: OpPing, ID: uint64(i)})
-		}
-		if _, err := nc.Write(buf); err != nil {
-			t.Fatal(err)
-		}
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err = s.Drain(dctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("round %d: drain: %v", r, err)
-		}
-
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-		answered := map[uint64]bool{}
-		for len(answered) < burst {
-			f, err := ReadFrame(nc, DefaultMaxFrame)
-			if err != nil {
-				t.Fatalf("round %d: %d of %d frames answered, then %v", r, len(answered), burst, err)
-			}
-			var resp Response
-			if err := json.Unmarshal(f.Payload, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if resp.Code != CodeOK && resp.Code != CodeUnavailable {
-				t.Fatalf("round %d: frame %d: unexpected drain-time code %+v", r, f.ID, resp)
-			}
-			answered[f.ID] = true
-		}
-		if _, err := ReadFrame(nc, DefaultMaxFrame); !errors.Is(err, io.EOF) {
-			t.Fatalf("round %d: after the last answer: want EOF, got %v", r, err)
-		}
-		nc.Close()
 	}
 }
 
