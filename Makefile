@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-parmembench check race flake-hunt vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
+.PHONY: build test test-parmembench check race fanout flake-hunt vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
 
 build:
 	$(GO) build ./...
@@ -40,9 +40,15 @@ flake-hunt:
 	$(GO) test -count=50 $(FLAKE_PKGS)
 	$(GO) test -race -count=50 $(FLAKE_PKGS)
 
+# fanout reruns the golden digests and the parallel-determinism tests at
+# one and two CPUs: Workers=0 resolves to one worker per CPU, so on a
+# 1-CPU box the fanned-out engine would otherwise never meet the digests.
+fanout:
+	$(GO) test -count=1 -cpu 1,2 -run 'TestGoldenAllocations|TestParallel' .
+
 # check is the CI gate: static analysis, the full suite under the race
-# detector, and the nested benchmark module's tests.
-check: vet staticcheck race test-parmembench
+# detector, the fan-out rerun, and the nested benchmark module's tests.
+check: vet staticcheck race fanout test-parmembench
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -70,6 +70,8 @@ func TestParallelCompileDeterminism(t *testing.T) {
 			{Modules: 8},
 			{Modules: 8, Method: Backtrack, Unroll: 4},
 			{Modules: 4, Strategy: STOR2},
+			{Modules: 4, Strategy: STOR3},
+			{Modules: 4, Strategy: PerRegion},
 		} {
 			opt.Workers = 1
 			ps, err := Compile(src, opt)
