@@ -41,7 +41,6 @@ func assignKey(p Program, opt Options) string {
 	k.Int(int(opt.Strategy))
 	k.Int(int(opt.Method))
 	k.Int(opt.Groups)
-	k.Int(int(opt.Pick))
 	if opt.DisableAtoms {
 		k.Int(1)
 	} else {

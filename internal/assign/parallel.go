@@ -84,7 +84,7 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 			preA[v] = m // separator vertex colored by a later atom
 		}
 	}
-	res := color(sub, coloring.Options{K: opt.K, Precolored: preA, Pick: opt.Pick, Scratch: sc})
+	res := color(sub, coloring.Options{K: opt.K, Precolored: preA, Scratch: sc})
 	sp.SetAttr("unassigned", int64(len(res.Unassigned)))
 	return &atomColorResult{assign: res.Assign, unassigned: res.Unassigned}
 }

@@ -19,18 +19,6 @@ import (
 	"parmem/internal/graph"
 )
 
-// PickPolicy selects which available module an assignable node receives.
-type PickPolicy int
-
-const (
-	// LowestIndex deterministically picks the smallest-numbered available
-	// module. This is the default.
-	LowestIndex PickPolicy = iota
-	// LeastLoaded picks the available module holding the fewest values so
-	// far (ties toward the smallest index), spreading values evenly.
-	LeastLoaded
-)
-
 // Options configures a coloring run.
 type Options struct {
 	// K is the number of memory modules (colors); it must be >= 1.
@@ -40,8 +28,6 @@ type Options struct {
 	// instruction groups in STOR3). Precolored nodes are never moved and
 	// never removed.
 	Precolored map[int]int
-	// Pick selects the module-choice policy; zero value is LowestIndex.
-	Pick PickPolicy
 	// Scratch optionally supplies the arena the selection loop borrows its
 	// buffers from — worker pools pass their per-worker shard so repeated
 	// colorings reuse one working set. The caller owns its lifecycle
@@ -72,25 +58,16 @@ func GuptaSoffa(g *graph.Graph, opt Options) Result {
 	return guptaSoffaDense(g, opt)
 }
 
-// pickModule returns an unused module index per the policy. At least one
-// module must be free.
-func pickModule(used []bool, load []int, pick PickPolicy) int {
-	best := -1
-	for m := range used {
-		if used[m] {
-			continue
-		}
-		switch {
-		case best == -1:
-			best = m
-		case pick == LeastLoaded && load[m] < load[best]:
-			best = m
+// lowestFree returns the smallest module index not in used: a node's
+// module is always the lowest one its assigned neighbors leave free. At
+// least one module must be free.
+func lowestFree(used []bool) int {
+	for m, taken := range used {
+		if !taken {
+			return m
 		}
 	}
-	if best == -1 {
-		panic("coloring: pickModule called with no free module")
-	}
-	return best
+	panic("coloring: lowestFree called with no free module")
 }
 
 // CheckProper verifies that assign is a proper partial coloring of g: no

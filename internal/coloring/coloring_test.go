@@ -157,31 +157,6 @@ func TestGuptaSoffaDeterministic(t *testing.T) {
 	}
 }
 
-func TestPickPolicyLeastLoaded(t *testing.T) {
-	// Eight isolated nodes, 4 modules: LeastLoaded spreads 2 per module,
-	// LowestIndex piles everything on module 0.
-	g := graph.New()
-	for i := 0; i < 8; i++ {
-		g.AddNode(i)
-	}
-	spread := GuptaSoffa(g, Options{K: 4, Pick: LeastLoaded})
-	load := map[int]int{}
-	for _, m := range spread.Assign {
-		load[m]++
-	}
-	for m := 0; m < 4; m++ {
-		if load[m] != 2 {
-			t.Fatalf("LeastLoaded load = %v, want 2 per module", load)
-		}
-	}
-	piled := GuptaSoffa(g, Options{K: 4, Pick: LowestIndex})
-	for v, m := range piled.Assign {
-		if m != 0 {
-			t.Fatalf("LowestIndex put isolated node %d on module %d", v, m)
-		}
-	}
-}
-
 func TestCheckProper(t *testing.T) {
 	g := completeGraph(2)
 	if err := CheckProper(g, map[int]int{0: 0, 1: 0}); err == nil {

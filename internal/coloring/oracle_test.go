@@ -14,9 +14,8 @@ import (
 // in the external test package because oracle imports coloring.
 
 // TestGuptaSoffaDenseMatchesMap proves the dense urgency heuristic
-// bit-identical to the map reference across random graphs, module counts,
-// pick policies and precolorings: same assignment map and same removal
-// order.
+// bit-identical to the map reference across random graphs, module counts
+// and precolorings: same assignment map and same removal order.
 func TestGuptaSoffaDenseMatchesMap(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for iter := 0; iter < 200; iter++ {
@@ -31,21 +30,17 @@ func TestGuptaSoffaDenseMatchesMap(t *testing.T) {
 			// Precolored nodes must not make adjacent nodes share a module;
 			// GuptaSoffa does not require that, so random precoloring is fine.
 		}
-		pick := coloring.LowestIndex
-		if r.Intn(2) == 0 {
-			pick = coloring.LeastLoaded
-		}
-		opt := coloring.Options{K: k, Precolored: pre, Pick: pick}
+		opt := coloring.Options{K: k, Precolored: pre}
 		want := oracle.GuptaSoffaMap(g, opt)
 		got := coloring.GuptaSoffa(g, opt)
 		if !reflect.DeepEqual(got.Assign, want.Assign) {
-			t.Fatalf("iter %d (k=%d pick=%d pre=%v): assign %v, want %v\n%s",
-				iter, k, pick, pre, got.Assign, want.Assign, g)
+			t.Fatalf("iter %d (k=%d pre=%v): assign %v, want %v\n%s",
+				iter, k, pre, got.Assign, want.Assign, g)
 		}
 		if len(got.Unassigned) != len(want.Unassigned) ||
 			(len(want.Unassigned) > 0 && !reflect.DeepEqual(got.Unassigned, want.Unassigned)) {
-			t.Fatalf("iter %d (k=%d pick=%d pre=%v): unassigned %v, want %v\n%s",
-				iter, k, pick, pre, got.Unassigned, want.Unassigned, g)
+			t.Fatalf("iter %d (k=%d pre=%v): unassigned %v, want %v\n%s",
+				iter, k, pre, got.Unassigned, want.Unassigned, g)
 		}
 		// Random precoloring may clash by construction (GuptaSoffa honors it
 		// verbatim); only unconstrained runs must be proper.

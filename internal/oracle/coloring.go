@@ -55,11 +55,6 @@ func GuptaSoffaMap(g *graph.Graph, opt coloring.Options) coloring.Result {
 		}
 	}
 
-	moduleLoad := make([]int, k)
-	for _, m := range assign {
-		moduleLoad[m]++
-	}
-
 	// availableCount returns K_nj (modules not used by assigned neighbors)
 	// and the set itself.
 	available := func(v int) []bool {
@@ -82,7 +77,6 @@ func GuptaSoffaMap(g *graph.Graph, opt coloring.Options) coloring.Result {
 			}
 		}
 		assign[first] = 0
-		moduleLoad[0]++
 		delete(rest, first)
 	}
 
@@ -150,17 +144,13 @@ func GuptaSoffaMap(g *graph.Graph, opt coloring.Options) coloring.Result {
 			res.Unassigned = append(res.Unassigned, v)
 			continue
 		}
-		// The lowest free module, or under LeastLoaded the least loaded one
-		// (ties toward the lowest index).
+		// The lowest free module.
 		used := available(v)
-		m := -1
-		for c := 0; c < k; c++ {
-			if !used[c] && (m == -1 || opt.Pick == coloring.LeastLoaded && moduleLoad[c] < moduleLoad[m]) {
-				m = c
-			}
+		m := 0
+		for used[m] {
+			m++
 		}
 		assign[v] = m
-		moduleLoad[m]++
 	}
 	return res
 }
