@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-parmembench check race fanout flake-hunt vet staticcheck bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
+.PHONY: build test test-parmembench check race fanout flake-hunt vet staticcheck boundary bench bench-run bench-json bench-diff bench-scaling bench-scaling-smoke tables trace-smoke soak-smoke gateway-smoke fleet-trace-smoke
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,23 @@ flake-hunt:
 fanout:
 	$(GO) test -count=1 -cpu 1,2 -run 'TestGoldenAllocations|TestParallel' .
 
-# check is the CI gate: static analysis, the full suite under the race
-# detector, the fan-out rerun, and the nested benchmark module's tests.
-check: vet staticcheck race fanout test-parmembench
+# boundary keeps the map graph out of the engine, whose only graph is
+# graph.Dense: no non-test file of assign, coloring or gateway may build,
+# convert or induce a map graph, and atoms and alloccache may convert one
+# only in the graph-taking wrappers the benchmark compiles against
+# (atoms.DecomposeParallel, alloccache.CanonicalHash).
+MAPGRAPH_CALLS = graph\.New\(|graph\.FromGraph|\.Induced\(|\.InducedGraph\(
+MAPGRAPH_WRAPPERS = ^internal/atoms/atoms\.go:[0-9]+:[[:space:]]*return Decompose\(graph\.FromGraph\(g\), workers\)$$|^internal/alloccache/alloccache\.go:[0-9]+:[[:space:]]*return CanonicalHashDense\(graph\.FromGraph\(g\)\)$$
+
+boundary:
+	@out=$$(grep -nE '$(MAPGRAPH_CALLS)' $$(ls internal/assign/*.go internal/coloring/*.go internal/gateway/*.go \
+		internal/atoms/*.go internal/alloccache/*.go | grep -v '_test\.go$$') | grep -vE '$(MAPGRAPH_WRAPPERS)'); \
+	if [ -n "$$out" ]; then echo "map-graph calls inside the engine:"; echo "$$out"; exit 1; fi
+
+# check is the CI gate: static analysis, the map-graph boundary, the full
+# suite under the race detector, the fan-out rerun, and the nested
+# benchmark module's tests.
+check: vet staticcheck boundary race fanout test-parmembench
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -242,10 +242,10 @@ func randomConflictGraph(r *rand.Rand, n int, deg float64) *graph.Graph {
 func BenchmarkColoringScaling(b *testing.B) {
 	for _, n := range []int{50, 200, 800} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := randomConflictGraph(rand.New(rand.NewSource(1)), n, 6)
+			d := graph.FromGraph(randomConflictGraph(rand.New(rand.NewSource(1)), n, 6))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coloring.GuptaSoffa(g, coloring.Options{K: 8})
+				coloring.GuptaSoffa(d, coloring.Options{K: 8})
 			}
 		})
 	}
@@ -255,10 +255,10 @@ func BenchmarkColoringScaling(b *testing.B) {
 func BenchmarkAtomsScaling(b *testing.B) {
 	for _, n := range []int{50, 200, 800} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := randomConflictGraph(rand.New(rand.NewSource(2)), n, 4)
+			d := graph.FromGraph(randomConflictGraph(rand.New(rand.NewSource(2)), n, 4))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				atoms.Decompose(g)
+				atoms.Decompose(d, 1)
 			}
 		})
 	}
@@ -279,8 +279,7 @@ func syntheticConflicts(r *rand.Rand, nvals, ninstr, k int) ([]conflict.Instruct
 		}
 		instrs = append(instrs, in)
 	}
-	g := conflict.Build(instrs)
-	col := coloring.GuptaSoffa(g, coloring.Options{K: k})
+	col := coloring.GuptaSoffa(conflict.Snapshot(instrs, nil), coloring.Options{K: k})
 	return instrs, col.Assign, col.Unassigned
 }
 
@@ -522,8 +521,9 @@ func BenchmarkAblationMethod(b *testing.B) {
 // and first-fit by values left uncolored.
 func BenchmarkAblationColoring(b *testing.B) {
 	g := randomConflictGraph(rand.New(rand.NewSource(11)), 300, 14)
+	d := graph.FromGraph(g)
 	algos := map[string]func() coloring.Result{
-		"gupta-soffa": func() coloring.Result { return coloring.GuptaSoffa(g, coloring.Options{K: 8}) },
+		"gupta-soffa": func() coloring.Result { return coloring.GuptaSoffa(d, coloring.Options{K: 8}) },
 		"dsatur":      func() coloring.Result { return oracle.DSATUR(g, 8) },
 		"first-fit":   func() coloring.Result { return oracle.FirstFit(g, 8) },
 	}

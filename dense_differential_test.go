@@ -14,8 +14,11 @@ import (
 	"reflect"
 	"testing"
 
+	"parmem/internal/alloccache"
 	"parmem/internal/assign"
 	"parmem/internal/benchprog"
+	"parmem/internal/conflict"
+	"parmem/internal/graph"
 	"parmem/internal/oracle"
 )
 
@@ -23,7 +26,7 @@ import (
 // urgency coloring for the map-graph references in internal/oracle until
 // the returned func runs. Tests that call it must not run in parallel.
 func useOracleBackends() (restore func()) {
-	return assign.SetBackends(oracle.DecomposeParallelRef, oracle.GuptaSoffaMap)
+	return assign.SetBackends(oracle.DecomposeSnapshot, oracle.ColorSnapshot)
 }
 
 // allocFingerprint flattens the determinism-relevant allocation fields into
@@ -181,5 +184,69 @@ func TestDenseBackendAssignValues(t *testing.T) {
 					iter, k, method, ad, ar)
 			}
 		}
+	}
+}
+
+// TestConflictSnapshotMatchesBuild pins the engine's snapshot builder to
+// the independent construction behind the oracle path: conflict.Snapshot
+// must equal graph.FromGraph(conflict.Build(...)) in ids, rows, weights,
+// edge count, bitset form and canonical hash, under all three bitset forms,
+// on the paper programs and seeded Synthetic and fuzz programs, the chain
+// and cluster workload families, and seeded random streams.
+func TestConflictSnapshotMatchesBuild(t *testing.T) {
+	var streams [][]conflict.Instruction
+	srcs := []string{benchprog.Synthetic(4)}
+	for _, spec := range benchprog.All() {
+		srcs = append(srcs, spec.Source)
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		srcs = append(srcs, (&progGen{r: rand.New(rand.NewSource(seed + 7000))}).gen())
+	}
+	for _, src := range srcs {
+		p, err := Compile(src, Options{Modules: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, p.Instructions())
+	}
+	streams = append(streams, toInstrs(benchprog.ChainInstrs(3, 150, 4)), toInstrs(benchprog.ClusterInstrs(4, 12, 4)), nil)
+	r := rand.New(rand.NewSource(26))
+	for i := 0; i < 30; i++ {
+		instrs := make([]conflict.Instruction, r.Intn(80))
+		for j := range instrs {
+			for n := r.Intn(6); n > 0; n-- {
+				instrs[j] = append(instrs[j], r.Intn(50)*3)
+			}
+		}
+		streams = append(streams, instrs)
+	}
+
+	for _, kind := range []struct {
+		name          string
+		flat, blocked int
+	}{
+		{"flat", graph.DenseBitsetMaxN, graph.BlockedBitsetMaxN},
+		{"blocked", 8, graph.BlockedBitsetMaxN},
+		{"csr", 0, 0},
+	} {
+		restore := graph.SetBitsetCeilings(kind.flat, kind.blocked)
+		for i, instrs := range streams {
+			got, want := conflict.Snapshot(instrs, nil), graph.FromGraph(conflict.Build(instrs))
+			if !reflect.DeepEqual(got.IDs(), want.IDs()) || got.NumEdges() != want.NumEdges() {
+				t.Fatalf("%s stream %d: %d ids / %d edges, want %d / %d", kind.name, i, got.N(), got.NumEdges(), want.N(), want.NumEdges())
+			}
+			for v := int32(0); int(v) < want.N(); v++ {
+				if !reflect.DeepEqual(got.Row(v), want.Row(v)) || !reflect.DeepEqual(got.WeightRow(v), want.WeightRow(v)) {
+					t.Fatalf("%s stream %d: row %d = %v %v, want %v %v", kind.name, i, v, got.Row(v), got.WeightRow(v), want.Row(v), want.WeightRow(v))
+				}
+			}
+			if got.BitsetKind() != want.BitsetKind() {
+				t.Fatalf("%s stream %d: bitset form %s, want %s", kind.name, i, got.BitsetKind(), want.BitsetKind())
+			}
+			if alloccache.CanonicalHashDense(got) != alloccache.CanonicalHashDense(want) {
+				t.Fatalf("%s stream %d: canonical hashes differ", kind.name, i)
+			}
+		}
+		restore()
 	}
 }

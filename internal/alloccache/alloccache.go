@@ -259,9 +259,7 @@ func (c *Cache) Len() int {
 // the same hash (identical graphs always do), which makes the hash a cheap
 // leading discriminator for cache keys.
 func CanonicalHash(g *graph.Graph) uint64 {
-	sc := arena.Get()
-	defer sc.Release()
-	return CanonicalHashDense(graph.FromGraphScratch(g, sc))
+	return CanonicalHashDense(graph.FromGraph(g))
 }
 
 // CanonicalHashDense is CanonicalHash computed from a dense snapshot. The
@@ -377,36 +375,6 @@ func (k *Key) IntMap(m map[int]int) {
 	for _, v := range keys {
 		k.int64(int64(v))
 		k.int64(int64(m[v]))
-	}
-}
-
-// Graph appends g exactly — canonical hash first (the fast discriminator),
-// then the precise node and weighted edge lists with their original ids,
-// which is what makes the overall signature a pure memo key.
-func (k *Key) Graph(g *graph.Graph) {
-	sc := arena.Get()
-	defer sc.Release()
-	k.GraphDense(graph.FromGraphScratch(g, sc))
-}
-
-// GraphDense is Graph from a dense snapshot, emitting byte-identical
-// signature bytes: IDs() is Nodes() and the ascending CSR walk below visits
-// edges in exactly Edges() order, so keys written before and after the
-// dense-core migration compare equal.
-func (k *Key) GraphDense(d *graph.Dense) {
-	k.int64(int64(CanonicalHashDense(d)))
-	k.Ints(d.IDs())
-	k.int64(int64(d.NumEdges()))
-	n := d.N()
-	for i := 0; i < n; i++ {
-		row, wts := d.Row(int32(i)), d.WeightRow(int32(i))
-		for j, nb := range row {
-			if int32(i) < nb {
-				k.int64(int64(d.ID(int32(i))))
-				k.int64(int64(d.ID(nb)))
-				k.int64(int64(wts[j]))
-			}
-		}
 	}
 }
 

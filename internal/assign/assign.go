@@ -142,16 +142,17 @@ type Options struct {
 // decompose and color are the clique-separator decomposition and the
 // urgency coloring every phase runs. Only SetBackends changes them.
 var (
-	decompose = atoms.DecomposeParallel
+	decompose = atoms.Decompose
 	color     = coloring.GuptaSoffa
 )
 
 // SetBackends swaps the decomposition and coloring functions the engine
 // runs and returns a func restoring the previous pair. It is the seam the
 // differential tests use to run the whole pipeline on the map-graph
-// reference implementations in internal/oracle; it must not be called
-// while an assignment runs.
-func SetBackends(dec func(g *graph.Graph, workers int) atoms.Decomposition, col func(g *graph.Graph, opt coloring.Options) coloring.Result) (restore func()) {
+// reference implementations in internal/oracle, whose adapters convert
+// each snapshot they are handed; it must not be called while an
+// assignment runs.
+func SetBackends(dec func(d *graph.Dense, workers int) atoms.Decomposition, col func(d *graph.Dense, opt coloring.Options) coloring.Result) (restore func()) {
 	pd, pc := decompose, color
 	decompose, color = dec, col
 	return func() { decompose, color = pd, pc }
@@ -379,44 +380,35 @@ func (st *phaseState) end() {
 	st.root.End()
 }
 
-// colorPhase colors g with opt, seeding from the already-allocated values
-// that hold exactly one copy (multi-copy values stay flexible and are
-// handled by the SDR checks during duplication). It returns the coloring,
-// the values it removed (sorted) and the atoms it colored (nil when
-// decomposition is disabled).
-func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []int, []atoms.Atom) {
-	// Arena scope for the phase-local views (precoloring, skip set, node
-	// buffers); the returned assignment escapes and stays fresh.
+// colorPhase colors the snapshot g with opt, seeding from the
+// already-allocated values that hold exactly one copy (multi-copy values
+// stay flexible and are handled by the SDR checks during duplication). It
+// returns the coloring, the values it removed (sorted) and the atoms it
+// colored (nil when decomposition is disabled).
+func (st *phaseState) colorPhase(g *graph.Dense, opt Options) (map[int]int, []int, []atoms.Atom) {
+	// Arena scope for the phase-local views (precoloring, the colorable
+	// sub-snapshot); the returned assignment escapes and stays fresh.
 	sc := arena.Get()
 	defer sc.Release()
-	nodes := g.NodesAppend(sc.Ints(g.NumNodes())[:0])
-	pre := sc.IntMap(len(nodes))
-	skip := sc.IntBoolMap(8)
-	for _, v := range nodes {
+	pre := sc.IntMap(g.N())
+	keep := sc.Int32s(g.N())[:0]
+	for i, v := range g.IDs() {
 		s := st.copies[v]
 		switch {
 		case s.Count() == 1:
 			pre[v] = bits.TrailingZeros64(uint64(s))
 		case s.Count() > 1:
-			skip[v] = true // replicated already; flexible, not colorable
+			continue // replicated already; flexible, not colorable
 		}
+		keep = append(keep, int32(i))
 	}
-	work := g
-	if len(skip) > 0 {
-		keep := sc.Ints(len(nodes))[:0]
-		for _, v := range nodes {
-			if !skip[v] {
-				keep = append(keep, v)
-			}
-		}
-		work = g.Induced(keep)
-	}
+	work := g.Sub(keep, sc)
 
 	if opt.DisableAtoms {
 		csp := st.rec.StartSpan("color", st.span)
 		res := color(work, coloring.Options{K: opt.K, Precolored: pre})
 		if csp != nil {
-			csp.SetAttr("nodes", int64(work.NumNodes()))
+			csp.SetAttr("nodes", int64(work.N()))
 			csp.SetAttr("unassigned", int64(len(res.Unassigned)))
 			csp.End()
 		}
@@ -437,7 +429,7 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 	dsp := st.rec.StartSpan("decompose", st.span)
 	dec := decompose(work, opt.workerCount())
 	if dsp != nil {
-		dsp.SetAttr("nodes", int64(work.NumNodes()))
+		dsp.SetAttr("nodes", int64(work.N()))
 		dsp.SetAttr("atoms", int64(len(dec.Atoms)))
 		dsp.SetAttr("max_atom", int64(dec.MaxAtomSize()))
 		dsp.End()
@@ -448,7 +440,7 @@ func (st *phaseState) colorPhase(g *graph.Graph, opt Options) (map[int]int, []in
 			sizes.Observe(int64(len(a.Nodes)))
 		}
 	}
-	assign, unassigned := colorAtoms(st, dec, pre, opt)
+	assign, unassigned := colorAtoms(st, work, dec, pre, opt)
 	return assign, unassigned, dec.Atoms
 }
 
@@ -510,17 +502,19 @@ func (st *phaseState) finish() Allocation {
 	return al
 }
 
-// buildConflict wraps conflict.Build with a span and the conflict-graph
-// volume counters, attributing the build to the named phase.
-func (st *phaseState) buildConflict(name string, instrs []conflict.Instruction) *graph.Graph {
+// buildConflict builds the conflict-graph snapshot of instrs, in fresh
+// storage (an incremental state keeps it), with a span and the
+// conflict-graph volume counters, attributing the build to the named
+// phase.
+func (st *phaseState) buildConflict(name string, instrs []conflict.Instruction) *graph.Dense {
 	sp := st.rec.StartSpan("conflict", st.root)
-	g := conflict.Build(instrs)
+	g := conflict.Snapshot(instrs, nil)
 	if sp != nil {
 		sp.SetAttrStr("phase", name)
-		sp.SetAttr("nodes", int64(g.NumNodes()))
+		sp.SetAttr("nodes", int64(g.N()))
 		sp.SetAttr("edges", int64(g.NumEdges()))
 		sp.End()
-		st.rec.Counter(telemetry.MConflictNodes).Add(int64(g.NumNodes()))
+		st.rec.Counter(telemetry.MConflictNodes).Add(int64(g.N()))
 		st.rec.Counter(telemetry.MConflictEdges).Add(int64(g.NumEdges()))
 	}
 	return g
@@ -547,25 +541,26 @@ func assignSTOR2(st *phaseState, p Program, opt Options) error {
 	// per-region conflicts are visible. Globals the coloring rejected
 	// become replicable for all regions.
 	err := st.inPhase("stor2/global", "coloring", func(*PhaseReport) error {
+		// The conflict graph of the stream with every non-global operand
+		// dropped.
 		sc := arena.Get()
 		defer sc.Release()
-		globalGraph := graph.New()
-		tbl := conflict.NormalizeTable(p.Instrs, sc)
-		gl := sc.Ints(opt.K + 1)[:0]
-		for i := 0; i < tbl.Len(); i++ {
-			gl = gl[:0]
-			for _, v := range tbl.Row(i) {
-				if p.Global[v] {
-					gl = append(gl, v)
-					globalGraph.AddNode(v)
-				}
-			}
-			for i := 0; i < len(gl); i++ {
-				for j := i + 1; j < len(gl); j++ {
-					globalGraph.AddEdgeWeight(gl[i], gl[j], 1)
-				}
-			}
+		total := 0
+		for _, in := range p.Instrs {
+			total += len(in)
 		}
+		flat := sc.Ints(total)[:0]
+		globals := make([]conflict.Instruction, len(p.Instrs))
+		for i, in := range p.Instrs {
+			start := len(flat)
+			for _, v := range in {
+				if p.Global[v] {
+					flat = append(flat, v)
+				}
+			}
+			globals[i] = flat[start:len(flat):len(flat)]
+		}
+		globalGraph := conflict.Snapshot(globals, sc)
 		assignMap, unassigned, dec := st.colorPhase(globalGraph, opt)
 		st.atoms += len(dec)
 		for v, m := range assignMap {
@@ -578,7 +573,7 @@ func assignSTOR2(st *phaseState, p Program, opt Options) error {
 		if st.span != nil {
 			st.span.SetAttr("nodes_colored", int64(len(assignMap)))
 			st.span.SetAttr("unassigned", int64(len(unassigned)))
-			st.rec.Counter(telemetry.MConflictNodes).Add(int64(globalGraph.NumNodes()))
+			st.rec.Counter(telemetry.MConflictNodes).Add(int64(globalGraph.N()))
 			st.rec.Counter(telemetry.MConflictEdges).Add(int64(globalGraph.NumEdges()))
 		}
 		return nil

@@ -375,13 +375,13 @@ func TestDeltaResidualResolvesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, first := color, true
-	restore := SetBackends(decompose, func(g *graph.Graph, o coloring.Options) coloring.Result {
+	restore := SetBackends(decompose, func(d *graph.Dense, o coloring.Options) coloring.Result {
 		if !first {
-			return col(g, o)
+			return col(d, o)
 		}
 		first = false
 		res := coloring.Result{Assign: map[int]int{}}
-		for _, v := range g.Nodes() {
+		for _, v := range d.IDs() {
 			res.Assign[v] = o.Precolored[v]
 		}
 		return res

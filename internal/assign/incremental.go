@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"parmem/internal/alloccache"
+	"parmem/internal/arena"
 	"parmem/internal/atoms"
 	"parmem/internal/budget"
 	"parmem/internal/conflict"
@@ -257,8 +258,7 @@ type solveInput struct {
 	// lists the records still to solve — all of comps on a cold run — and
 	// the rest carry their results already.
 	comps, dirty []*compRecord
-	g            *graph.Graph // the whole conflict graph; nil on a delta
-	snap         *graph.Dense // the delta's patched snapshot, read when g is nil
+	g            *graph.Dense // the whole conflict graph: built, or a delta's patched one
 	spans        solveSpans
 }
 
@@ -283,7 +283,8 @@ func (st *phaseState) stage(name string, parent *telemetry.Span) *telemetry.Span
 // solve is the one assignment pipeline: every STOR1 entry point, every
 // STOR2 and PerRegion region and every STOR3 group runs it. It serves what
 // dirty components it can from the "comp" cache level, colors the union of
-// the rest in one colorPhase (on g itself when it solves every component),
+// the rest in one colorPhase (on g itself when it solves every component,
+// else on their sub-snapshot of g),
 // duplicates them in one cores call, splits the result into their records,
 // and finishes the whole stream once.
 //
@@ -297,6 +298,8 @@ func (st *phaseState) stage(name string, parent *telemetry.Span) *telemetry.Span
 // returned as a *residualError. The accepted allocation lands in st; the
 // returned fallback is "" when every core completed its primary strategy.
 func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string, error) {
+	sc := arena.Get() // the pending components' sub-snapshot
+	defer sc.Release()
 	pending := s.dirty
 	if s.comps != nil && opt.Cache != nil {
 		pending = nil
@@ -317,7 +320,7 @@ func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string
 		st.span = csp
 	}
 	instrs, g := s.instrs, s.g
-	if s.comps != nil && (len(pending) < len(s.comps) || g == nil) {
+	if s.comps != nil && len(pending) < len(s.comps) {
 		instrs, g = nil, nil
 		var values []int
 		for _, rec := range pending {
@@ -326,11 +329,11 @@ func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string
 		}
 		if len(pending) > 0 {
 			sort.Ints(values)
-			if s.g != nil {
-				g = s.g.Induced(values)
-			} else {
-				g = s.snap.InducedGraph(values)
+			idx := sc.Int32s(len(values))
+			for i, v := range values {
+				idx[i] = s.g.Index(v)
 			}
+			g = s.g.Sub(idx, sc)
 		}
 	}
 	var assigned map[int]int
@@ -590,7 +593,7 @@ func (st *phaseState) solveCold(instrs []conflict.Instruction, opt Options, stat
 	}}
 	state := &IncrState{
 		instrs: own,
-		dense:  graph.FromGraph(g), // fresh storage: the snapshot outlives this call
+		dense:  g,
 		valRef: valRef,
 		comps:  comps,
 		sig:    incrSig(opt),
@@ -818,7 +821,7 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 	st.rec.Counter(telemetry.MIncrReused).Add(int64(stats.Reused))
 
 	st.phase = "delta/solve"
-	fb, err := st.solve(solveInput{instrs: next, comps: comps, dirty: dirty, snap: snap, spans: incrSpans(st.root)}, opt, &stats)
+	fb, err := st.solve(solveInput{instrs: next, comps: comps, dirty: dirty, g: snap, spans: incrSpans(st.root)}, opt, &stats)
 	var re *residualError
 	if errors.As(err, &re) {
 		// A residual after the stitch: do not trust it; re-solve cold from

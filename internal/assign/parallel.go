@@ -9,6 +9,7 @@ import (
 	"parmem/internal/arena"
 	"parmem/internal/atoms"
 	"parmem/internal/coloring"
+	"parmem/internal/graph"
 	"parmem/internal/telemetry"
 )
 
@@ -44,14 +45,16 @@ type atomColorResult struct {
 	unassigned []int
 }
 
-// colorOneAtom colors one atom against the given views of the shared
-// state. The views must already reflect every atom this one depends on. The span (parented under
-// the current phase) carries the atom's size, outcome and worker lane.
+// colorOneAtom colors one atom of the decomposition of work on its
+// induced sub-snapshot, against the given views of the shared state. The
+// views must already reflect every atom this one depends on. The span
+// (parented under the current phase) carries the atom's size, outcome and
+// worker lane.
 //
-// sc supplies every borrowed buffer, including the colorer's own scratch
-// (via coloring.Options.Scratch); the caller owns it and Resets it between
-// atoms. A nil sc is the fresh-allocation path.
-func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, pre map[int]int, opt Options, lane int64, sc *arena.Scratch) *atomColorResult {
+// sc supplies every borrowed buffer, including the sub-snapshot and the
+// colorer's own scratch (via coloring.Options.Scratch); the caller owns it
+// and Resets it between atoms.
+func colorOneAtom(st *phaseState, work *graph.Dense, a atoms.Atom, removed map[int]bool, assigned, pre map[int]int, opt Options, lane int64, sc *arena.Scratch) *atomColorResult {
 	sp := st.rec.StartSpan("atom", st.span)
 	if sp != nil {
 		sp.SetLane(lane)
@@ -59,24 +62,17 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 		defer sp.End()
 	}
 	st.rec.Counter(telemetry.MColorings).Inc()
-	sub := a.Graph
 	// Vertices a previously processed atom failed to color are no longer
 	// coloring candidates anywhere: they will be replicated, and the SDR
-	// checks of the duplication stage cover their conflicts.
-	if len(removed) > 0 {
-		keep := sc.Ints(len(a.Nodes))[:0]
-		for _, v := range a.Nodes {
-			if !removed[v] {
-				keep = append(keep, v)
-			}
-		}
-		if len(keep) < len(a.Nodes) {
-			sub = a.Graph.Induced(keep)
-		}
-	}
-	// The colorer only reads Precolored, so the map can live in the arena.
+	// checks of the duplication stage cover their conflicts. The colorer
+	// only reads Precolored, so the map can live in the arena.
+	keep := sc.Int32s(len(a.Nodes))[:0]
 	preA := sc.IntMap(len(a.Nodes))
-	for _, v := range sub.NodesAppend(sc.Ints(sub.NumNodes())[:0]) {
+	for _, v := range a.Nodes {
+		if removed[v] {
+			continue
+		}
+		keep = append(keep, work.Index(v))
 		if m, ok := pre[v]; ok {
 			preA[v] = m
 		}
@@ -84,30 +80,31 @@ func colorOneAtom(st *phaseState, a atoms.Atom, removed map[int]bool, assigned, 
 			preA[v] = m // separator vertex colored by a later atom
 		}
 	}
-	res := color(sub, coloring.Options{K: opt.K, Precolored: preA, Scratch: sc})
+	res := color(work.Sub(keep, sc), coloring.Options{K: opt.K, Precolored: preA, Scratch: sc})
 	sp.SetAttr("unassigned", int64(len(res.Unassigned)))
 	return &atomColorResult{assign: res.Assign, unassigned: res.Unassigned}
 }
 
-// colorAtoms colors every atom of dec in reverse carve order, sequentially
-// or across a worker pool depending on opt. It returns the merged
-// assignment and the sorted, deduplicated unassigned set.
-func colorAtoms(st *phaseState, dec atoms.Decomposition, pre map[int]int, opt Options) (map[int]int, []int) {
+// colorAtoms colors every atom of dec, the decomposition of work, in
+// reverse carve order, sequentially or across a worker pool depending on
+// opt. It returns the merged assignment and the sorted, deduplicated
+// unassigned set.
+func colorAtoms(st *phaseState, work *graph.Dense, dec atoms.Decomposition, pre map[int]int, opt Options) (map[int]int, []int) {
 	workers := opt.workerCount()
 	if workers < 2 || len(dec.Atoms) < 2 {
-		return colorAtomsSeq(st, dec, pre, opt)
+		return colorAtomsSeq(st, work, dec, pre, opt)
 	}
-	return colorAtomsParallel(st, dec, pre, opt, workers)
+	return colorAtomsParallel(st, work, dec, pre, opt, workers)
 }
 
-func colorAtomsSeq(st *phaseState, dec atoms.Decomposition, pre map[int]int, opt Options) (map[int]int, []int) {
+func colorAtomsSeq(st *phaseState, work *graph.Dense, dec atoms.Decomposition, pre map[int]int, opt Options) (map[int]int, []int) {
 	assigned := map[int]int{}
 	removed := map[int]bool{}
 	var unassigned []int
 	sc := arena.Get()
 	defer sc.Release()
 	for i := len(dec.Atoms) - 1; i >= 0; i-- {
-		res := colorOneAtom(st, dec.Atoms[i], removed, assigned, pre, opt, 0, sc)
+		res := colorOneAtom(st, work, dec.Atoms[i], removed, assigned, pre, opt, 0, sc)
 		sc.Reset()
 		for v, m := range res.assign {
 			assigned[v] = m
@@ -166,7 +163,7 @@ func atomLevels(as []atoms.Atom) [][]int {
 	return out
 }
 
-func colorAtomsParallel(st *phaseState, dec atoms.Decomposition, pre map[int]int, opt Options, workers int) (map[int]int, []int) {
+func colorAtomsParallel(st *phaseState, work *graph.Dense, dec atoms.Decomposition, pre map[int]int, opt Options, workers int) (map[int]int, []int) {
 	assigned := map[int]int{}
 	removed := map[int]bool{}
 	var unassigned []int
@@ -214,7 +211,7 @@ func colorAtomsParallel(st *phaseState, dec atoms.Decomposition, pre map[int]int
 						// an earlier level. Lanes are 1-based worker
 						// numbers, stable for the whole phase, so the
 						// Chrome exporter renders one track per worker.
-						results[slot] = colorOneAtom(st, dec.Atoms[idxs[slot]], removed, assigned, pre, opt, int64(w)+1, sc)
+						results[slot] = colorOneAtom(st, work, dec.Atoms[idxs[slot]], removed, assigned, pre, opt, int64(w)+1, sc)
 					}(slot)
 					sc.Reset()
 				}

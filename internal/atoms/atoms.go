@@ -18,14 +18,17 @@
 package atoms
 
 import (
+	"sync"
+
 	"parmem/internal/arena"
 	"parmem/internal/graph"
 )
 
-// Atom is one subgraph of the decomposition.
+// Atom is one subgraph of the decomposition: the subgraph induced by its
+// sorted vertex ids, which callers extract from their snapshot with
+// graph.Dense.Sub when they need it.
 type Atom struct {
-	Nodes []int        // sorted vertex ids
-	Graph *graph.Graph // subgraph of the original graph induced by Nodes
+	Nodes []int
 }
 
 // Decomposition is the result of Decompose.
@@ -76,64 +79,98 @@ func (h wheap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *wheap) Push(x any)   { *h = append(*h, x.(wItem)) }
 func (h *wheap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// MCSM runs the MCS-M algorithm on g, returning a minimal elimination
-// ordering and the fill of the corresponding minimal triangulation. It runs
-// on a dense snapshot of g (see mcsmDense); oracle.MCSMRef is the
-// map-backed original, which produces bit-identical results.
-func MCSM(g *graph.Graph) Triangulation {
+// MCSM runs the MCS-M algorithm on d, returning a minimal elimination
+// ordering and the fill of the corresponding minimal triangulation, by
+// original id. oracle.MCSMRef is the map-backed original, which produces
+// bit-identical results.
+func MCSM(d *graph.Dense) Triangulation {
 	sc := arena.Get()
 	defer sc.Release()
-	return mcsmDense(graph.FromGraphScratch(g, sc), sc)
+	order, fill := mcsmDense(d, sc)
+	tri := Triangulation{Order: make([]int, len(order)), Fill: fill}
+	for i, x := range order {
+		tri.Order[i] = d.ID(int32(x))
+	}
+	for j := range fill {
+		fill[j].U, fill[j].V = d.ID(int32(fill[j].U)), d.ID(int32(fill[j].V))
+	}
+	return tri
 }
 
-// Decompose splits g into its atoms. The union of the atoms' vertex sets
-// covers V(g), every edge of g appears in at least one atom, and the vertices
-// of each clique minimal separator are shared between atoms. A disconnected
-// graph is decomposed one connected component at a time. An empty graph
-// yields no atoms.
-//
-// The per-component work runs on the dense graph core; oracle.DecomposeRef
-// is the map-backed original, which produces bit-identical results.
-func Decompose(g *graph.Graph) Decomposition {
-	var d Decomposition
-	sc := arena.Get()
-	defer sc.Release()
-	for _, comp := range g.ConnectedComponents() {
-		decomposeConnectedDense(g.Induced(comp), &d, sc)
-		sc.Reset()
+// Decompose splits d into its atoms. The union of the atoms' vertex sets
+// covers the vertices of d, every edge appears in at least one atom, and
+// the vertices of each clique minimal separator are shared between atoms.
+// A disconnected graph is decomposed one connected component at a time,
+// each on its own sub-snapshot, fanned across at most workers goroutines
+// when there are several; the per-component results are merged in
+// component order, so the output does not depend on workers. An empty
+// graph yields no atoms. oracle.DecomposeRef is the map-backed original,
+// which produces bit-identical results.
+func Decompose(d *graph.Dense, workers int) Decomposition {
+	comps := d.Components()
+	workers = min(workers, len(comps))
+	if workers <= 1 {
+		var dec Decomposition
+		sc := arena.Get()
+		defer sc.Release()
+		for _, comp := range comps {
+			decomposeConnectedDense(d.Sub(comp, sc), &dec, sc)
+			sc.Reset()
+		}
+		return dec
 	}
-	return d
-}
 
-func makeAtom(g *graph.Graph, nodes []int) Atom {
-	return Atom{Nodes: nodes, Graph: g.Induced(nodes)}
-}
-
-// minimalSeparator reports whether the clique set s is a minimal separator
-// of gp with respect to the component comp: every vertex of s must have a
-// gp-neighbor inside comp and a gp-neighbor outside comp ∪ s.
-func minimalSeparator(gp *graph.Graph, s, comp []int) bool {
-	inComp := make(map[int]bool, len(comp))
-	for _, c := range comp {
-		inComp[c] = true
-	}
-	inSep := make(map[int]bool, len(s))
-	for _, v := range s {
-		inSep[v] = true
-	}
-	for _, v := range s {
-		hasIn, hasOut := false, false
-		for _, u := range gp.Neighbors(v) {
-			switch {
-			case inComp[u]:
-				hasIn = true
-			case !inSep[u]:
-				hasOut = true
+	parts := make([]Decomposition, len(comps))
+	panics := make([]any, len(comps))
+	idx := make(chan int)
+	// One arena shard per worker for the whole fan-out: workers recycle
+	// their private Scratch between components and never touch the global
+	// pool mid-phase.
+	shards := arena.GetShards(workers)
+	defer shards.Release()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := shards.Worker(w)
+			for i := range idx {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							panics[i] = r
+						}
+					}()
+					decomposeConnectedDense(d.Sub(comps[i], sc), &parts[i], sc)
+				}()
+				sc.Reset()
 			}
-		}
-		if !hasIn || !hasOut {
-			return false
+		}(w)
+	}
+	for i := range comps {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			// Re-raise on the caller's goroutine so the usual phase
+			// boundary recovery applies.
+			panic(r)
 		}
 	}
-	return true
+
+	var dec Decomposition
+	for _, p := range parts {
+		dec.Atoms = append(dec.Atoms, p.Atoms...)
+		dec.Separators = append(dec.Separators, p.Separators...)
+		dec.Fill += p.Fill
+	}
+	return dec
+}
+
+// DecomposeParallel is Decompose on the snapshot of the map graph g, the
+// graph-taking entry point the benchmark's layer timings call.
+func DecomposeParallel(g *graph.Graph, workers int) Decomposition {
+	return Decompose(graph.FromGraph(g), workers)
 }

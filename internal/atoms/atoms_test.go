@@ -66,7 +66,7 @@ func withFill(g *graph.Graph, tri Triangulation) *graph.Graph {
 
 func TestMCSMOrderIsPermutation(t *testing.T) {
 	g := cycleGraph(6)
-	tri := MCSM(g)
+	tri := MCSM(graph.FromGraph(g))
 	if len(tri.Order) != 6 {
 		t.Fatalf("order length = %d", len(tri.Order))
 	}
@@ -87,7 +87,7 @@ func TestMCSMChordalInputNoFill(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 3, 1)
-	tri := MCSM(g)
+	tri := MCSM(graph.FromGraph(g))
 	if len(tri.Fill) != 0 {
 		t.Fatalf("chordal input should need no fill, got %v", tri.Fill)
 	}
@@ -98,12 +98,12 @@ func TestMCSMChordalInputNoFill(t *testing.T) {
 
 func TestMCSMCycleFill(t *testing.T) {
 	// C4 needs exactly one chord to triangulate minimally.
-	tri := MCSM(cycleGraph(4))
+	tri := MCSM(graph.FromGraph(cycleGraph(4)))
 	if len(tri.Fill) != 1 {
 		t.Fatalf("C4 minimal fill = %d edges, want 1 (%v)", len(tri.Fill), tri.Fill)
 	}
 	// C5 needs exactly two chords.
-	tri5 := MCSM(cycleGraph(5))
+	tri5 := MCSM(graph.FromGraph(cycleGraph(5)))
 	if len(tri5.Fill) != 2 {
 		t.Fatalf("C5 minimal fill = %d edges, want 2", len(tri5.Fill))
 	}
@@ -112,7 +112,7 @@ func TestMCSMCycleFill(t *testing.T) {
 func TestMCSMTriangulationIsChordal(t *testing.T) {
 	for n := 3; n <= 9; n++ {
 		g := cycleGraph(n)
-		tri := MCSM(g)
+		tri := MCSM(graph.FromGraph(g))
 		h := withFill(g, tri)
 		if !isChordalVia(h, tri.Order) {
 			t.Fatalf("C%d: H=G+fill not chordal via returned order", n)
@@ -122,22 +122,22 @@ func TestMCSMTriangulationIsChordal(t *testing.T) {
 
 func TestMCSMDeterministic(t *testing.T) {
 	g := cycleGraph(7)
-	a := MCSM(g)
-	b := MCSM(g)
+	a := MCSM(graph.FromGraph(g))
+	b := MCSM(graph.FromGraph(g))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("MCSM must be deterministic")
 	}
 }
 
 func TestDecomposeEmpty(t *testing.T) {
-	d := Decompose(graph.New())
+	d := Decompose(graph.FromGraph(graph.New()), 1)
 	if len(d.Atoms) != 0 {
 		t.Fatalf("empty graph atoms = %d", len(d.Atoms))
 	}
 }
 
 func TestDecomposeComplete(t *testing.T) {
-	d := Decompose(completeGraph(5))
+	d := Decompose(graph.FromGraph(completeGraph(5)), 1)
 	if len(d.Atoms) != 1 {
 		t.Fatalf("complete graph is one atom, got %d", len(d.Atoms))
 	}
@@ -148,7 +148,7 @@ func TestDecomposeComplete(t *testing.T) {
 
 func TestDecomposeCycleNoSeparator(t *testing.T) {
 	// A chordless cycle has no clique separator: single atom.
-	d := Decompose(cycleGraph(5))
+	d := Decompose(graph.FromGraph(cycleGraph(5)), 1)
 	if len(d.Atoms) != 1 {
 		t.Fatalf("C5 should be a single atom, got %d: %v", len(d.Atoms), d.Atoms)
 	}
@@ -157,7 +157,7 @@ func TestDecomposeCycleNoSeparator(t *testing.T) {
 func TestDecomposePathIntoEdges(t *testing.T) {
 	// Every interior vertex of a path is a (singleton) clique separator, so
 	// the atoms are exactly the edges.
-	d := Decompose(pathGraph(5))
+	d := Decompose(graph.FromGraph(pathGraph(5)), 1)
 	if len(d.Atoms) != 4 {
 		t.Fatalf("path atoms = %d, want 4: %+v", len(d.Atoms), d.Atoms)
 	}
@@ -177,7 +177,7 @@ func TestDecomposeDiamond(t *testing.T) {
 	g.AddEdge(1, 2, 1)
 	g.AddEdge(1, 3, 1)
 	g.AddEdge(2, 3, 1)
-	d := Decompose(g)
+	d := Decompose(graph.FromGraph(g), 1)
 	if len(d.Atoms) != 2 {
 		t.Fatalf("diamond atoms = %d, want 2: %+v", len(d.Atoms), d.Atoms)
 	}
@@ -201,7 +201,7 @@ func TestDecomposeDisconnected(t *testing.T) {
 	g.AddEdge(11, 12, 1)
 	g.AddEdge(10, 12, 1)
 	g.AddNode(20)
-	d := Decompose(g)
+	d := Decompose(graph.FromGraph(g), 1)
 	if len(d.Atoms) != 3 {
 		t.Fatalf("atoms = %d, want 3: %+v", len(d.Atoms), d.Atoms)
 	}
@@ -224,7 +224,7 @@ func TestDecomposeCutVertex(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(2, 4, 1)
 	g.AddEdge(3, 4, 1)
-	d := Decompose(g)
+	d := Decompose(graph.FromGraph(g), 1)
 	if len(d.Atoms) != 2 {
 		t.Fatalf("bowtie atoms = %d, want 2: %+v", len(d.Atoms), d.Atoms)
 	}
@@ -246,11 +246,18 @@ func TestAtomGraphPreservesWeights(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(0, 1, 7)
 	g.AddEdge(1, 2, 9)
-	d := Decompose(g)
-	for _, a := range d.Atoms {
-		for _, e := range a.Graph.Edges() {
-			if g.Weight(e.U, e.V) != e.W {
-				t.Fatalf("atom edge %v weight mismatch", e)
+	d := graph.FromGraph(g)
+	for _, a := range Decompose(d, 1).Atoms {
+		idx := make([]int32, len(a.Nodes))
+		for i, v := range a.Nodes {
+			idx[i] = d.Index(v)
+		}
+		sub := d.Sub(idx, nil)
+		for i := int32(0); int(i) < sub.N(); i++ {
+			for j, u := range sub.Row(i) {
+				if w := int(sub.WeightRow(i)[j]); g.Weight(sub.ID(i), sub.ID(u)) != w {
+					t.Fatalf("atom edge {%d,%d} weight %d mismatch", sub.ID(i), sub.ID(u), w)
+				}
 			}
 		}
 	}
@@ -298,7 +305,7 @@ func TestDecomposeProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 3 + r.Intn(8)
 		g := randomGraph(r, n, 0.2+r.Float64()*0.4)
-		d := Decompose(g)
+		d := Decompose(graph.FromGraph(g), 1)
 
 		covered := map[int]bool{}
 		for _, a := range d.Atoms {
@@ -313,7 +320,7 @@ func TestDecomposeProperty(t *testing.T) {
 		for _, e := range g.Edges() {
 			found := false
 			for _, a := range d.Atoms {
-				if a.Graph.HasEdge(e.U, e.V) {
+				if g.Induced(a.Nodes).HasEdge(e.U, e.V) {
 					found = true
 					break
 				}
@@ -324,7 +331,7 @@ func TestDecomposeProperty(t *testing.T) {
 			}
 		}
 		for _, a := range d.Atoms {
-			if hasCliqueSeparator(a.Graph) {
+			if hasCliqueSeparator(g.Induced(a.Nodes)) {
 				t.Logf("seed %d: atom %v still has a clique separator", seed, a.Nodes)
 				return false
 			}
@@ -341,7 +348,7 @@ func TestMCSMChordalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 3+r.Intn(12), 0.15+r.Float64()*0.4)
-		tri := MCSM(g)
+		tri := MCSM(graph.FromGraph(g))
 		return isChordalVia(withFill(g, tri), tri.Order)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

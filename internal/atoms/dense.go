@@ -12,12 +12,14 @@ import (
 // mcsmDense is MCS-M on the frozen dense graph core. The map-backed
 // implementation (oracle.MCSMRef) allocates a weight map, a visited map and a
 // sorted neighbor slice per elimination step; this version runs the same
-// algorithm over index-addressed scratch arrays reused across steps.
+// algorithm over index-addressed scratch arrays reused across steps. It
+// returns the elimination order and the fill edges (sorted, U < V) as dense
+// indices; order is borrowed from sc.
 //
 // Dense indices ascend with original ids, so every id-based tie-break
 // (heap pops, bottleneck extract-min, bumped-vertex ordering) is preserved
-// and the returned ordering and fill are bit-identical to oracle.MCSMRef's.
-func mcsmDense(d *graph.Dense, sc *arena.Scratch) Triangulation {
+// and the ordering and fill are bit-identical to oracle.MCSMRef's.
+func mcsmDense(d *graph.Dense, sc *arena.Scratch) ([]int, []graph.Edge) {
 	n := d.N()
 	weight := sc.Ints(n)
 	// numbered is a bitset so the "unnumbered neighbors of x" scans below
@@ -117,10 +119,7 @@ func mcsmDense(d *graph.Dense, sc *arena.Scratch) Triangulation {
 			weight[u]++
 			heap.Push(h, wItem{int(u), weight[u]})
 			if !d.HasEdgeIdx(u, v) {
-				a, b := d.ID(u), d.ID(v)
-				if a > b {
-					a, b = b, a
-				}
+				a, b := int(min(u, v)), int(max(u, v))
 				fill = append(fill, graph.Edge{U: a, V: b, W: 1})
 			}
 		}
@@ -131,11 +130,7 @@ func mcsmDense(d *graph.Dense, sc *arena.Scratch) Triangulation {
 		}
 		return fill[i].V < fill[j].V
 	})
-	out := make([]int, n)
-	for i, idx := range order {
-		out[i] = d.ID(int32(idx))
-	}
-	return Triangulation{Order: out, Fill: fill}
+	return order, fill
 }
 
 // pqPush appends packed key x to the binary min-heap pq and restores the
@@ -210,57 +205,81 @@ func cliqueIdx(gd *graph.Dense, sIdx []int32, sbits []uint64, swords []int32) bo
 	return true
 }
 
-// decomposeConnectedDense appends the atoms of the connected graph g to d,
-// using the dense core for the frozen reads: MCS-M runs on a Dense snapshot
-// of g, the triangulation H = G+F is snapshotted once fill edges are known,
-// clique tests compare whole words of G's bitset adjacency, and the
-// shrinking G' scans reuse neighbor buffers.
+// decomposeConnectedDense appends the atoms of the connected snapshot gd
+// to d. MCS-M runs on gd; H = G+F is G's rows plus a side adjacency of the
+// fill edges; the shrinking G' is an alive bitset over gd's indices, and
+// its component searches and minimal-separator tests walk G's rows
+// restricted to it; clique tests compare whole words of G's bitset
+// adjacency.
 //
-// All frozen state (the gd/hd snapshots, the elimination scratch, the
-// position table) is borrowed from sc; the atoms and separators appended to
-// d are freshly allocated and outlive it. A nil sc allocates fresh buffers
-// throughout. The caller owns sc's lifecycle (the worker pools Reset their
-// shard between components).
-func decomposeConnectedDense(g *graph.Graph, d *Decomposition, sc *arena.Scratch) {
-	gd := graph.FromGraphScratch(g, sc)
-	tri := mcsmDense(gd, sc)
-	d.Fill += len(tri.Fill)
+// All working state is borrowed from sc and sized by gd; the atoms and
+// separators appended to d are freshly allocated and outlive it. The
+// caller owns sc's lifecycle (the worker pools Reset their shard between
+// components).
+func decomposeConnectedDense(gd *graph.Dense, d *Decomposition, sc *arena.Scratch) {
+	n := gd.N()
+	words := graph.BitsetWords(n)
+	order, fill := mcsmDense(gd, sc)
+	d.Fill += len(fill)
 
-	// H = G + fill, frozen after construction.
-	h := g.Clone()
-	for _, e := range tri.Fill {
-		h.AddEdge(e.U, e.V, 0)
+	// H's extra adjacency: the fill edges as a CSR side table. The fill is
+	// sorted by (U,V), so each fill row is born ascending.
+	foff := sc.Int32s(n + 1)
+	for _, e := range fill {
+		foff[e.U+1]++
+		foff[e.V+1]++
 	}
-	hd := graph.FromGraphScratch(h, sc)
-
-	// pos[i] = position of dense index i in the elimination order. H has
-	// exactly G's vertex set, so gd and hd share one id↔index mapping.
-	pos := sc.Ints(gd.N())
-	for i, v := range tri.Order {
-		pos[gd.Index(v)] = i
+	for i := 0; i < n; i++ {
+		foff[i+1] += foff[i]
+	}
+	fnbr := sc.Int32s(2 * len(fill))
+	next := sc.Int32s(n)
+	copy(next, foff[:n])
+	for _, e := range fill {
+		fnbr[next[e.U]] = int32(e.V)
+		fnbr[next[e.V]] = int32(e.U)
+		next[e.U]++
+		next[e.V]++
 	}
 
-	gp := g.Clone() // G', shrinking as components split off
-	var s []int
+	// pos[i] = position of dense index i in the elimination order.
+	pos := sc.Ints(n)
+	for i, x := range order {
+		pos[x] = i
+	}
+
+	alive := sc.Uint64s(words) // G', shrinking as components split off
+	for i := int32(0); int(i) < n; i++ {
+		graph.SetBit(alive, i)
+	}
+	aliveN := n
 	// Candidate-separator scratch for the word-parallel clique test: the
 	// dense indices of S, their bitset, and the bitset's non-zero words
 	// (cleared again after each candidate, so the zeroing cost is |S|, not
-	// n/64).
-	sIdx := sc.Int32s(gd.N())[:0]
-	sbits := sc.Uint64s(graph.BitsetWords(gd.N()))
-	swords := sc.Int32s(graph.BitsetWords(gd.N()))[:0]
-	for i, x := range tri.Order {
-		if !gp.HasNode(x) {
+	// n/64). inComp marks the component of the current candidate the same
+	// way.
+	sIdx := sc.Int32s(n)[:0]
+	sbits := sc.Uint64s(words)
+	swords := sc.Int32s(words)[:0]
+	inComp := sc.Uint64s(words)
+	comp := sc.Int32s(n)[:0]
+	for i, x := range order {
+		if !graph.TestBit(alive, int32(x)) {
 			continue // already carved out with an earlier atom's component
 		}
-		// S = later neighbors of x in H that are still present in G'.
-		// hd rows are ascending by index (= by id), so s is born sorted.
-		s = s[:0]
+		// S = later neighbors of x in H that are still present in G': the
+		// merge of x's ascending G and fill rows, so S is born sorted.
 		sIdx = sIdx[:0]
 		swords = swords[:0]
-		for _, u := range hd.Row(hd.Index(x)) {
-			if pos[u] > i && gp.HasNode(gd.ID(u)) {
-				s = append(s, gd.ID(u))
+		grow, frow := gd.Row(int32(x)), fnbr[foff[x]:foff[x+1]]
+		for len(grow) > 0 || len(frow) > 0 {
+			var u int32
+			if len(frow) == 0 || (len(grow) > 0 && grow[0] < frow[0]) {
+				u, grow = grow[0], grow[1:]
+			} else {
+				u, frow = frow[0], frow[1:]
+			}
+			if pos[u] > i && graph.TestBit(alive, u) {
 				sIdx = append(sIdx, u)
 				if w := u >> 6; sbits[w] == 0 {
 					swords = append(swords, w)
@@ -268,32 +287,84 @@ func decomposeConnectedDense(g *graph.Graph, d *Decomposition, sc *arena.Scratch
 				graph.SetBit(sbits, u)
 			}
 		}
-		clique := len(s) > 0 && cliqueIdx(gd, sIdx, sbits, swords)
+		if len(sIdx) > 0 && cliqueIdx(gd, sIdx, sbits, swords) {
+			// S is a clique in G; check that removing it separates x from
+			// the rest of G', and that it is a *minimal* separator (see
+			// minimalSeparator).
+			comp = componentOf(gd, int32(x), alive, sbits, inComp, comp[:0])
+			if len(comp)+len(sIdx) < aliveN && minimalSeparator(gd, sIdx, alive, sbits, inComp) {
+				d.Atoms = append(d.Atoms, Atom{Nodes: mergeIDs(gd, comp, sIdx)})
+				d.Separators = append(d.Separators, mergeIDs(gd, sIdx, nil))
+				for _, c := range comp {
+					graph.ClearBit(alive, c)
+				}
+				aliveN -= len(comp)
+			}
+			for _, c := range comp {
+				graph.ClearBit(inComp, c)
+			}
+		}
 		for _, u := range sIdx {
 			graph.ClearBit(sbits, u)
 		}
-		if !clique {
-			continue
-		}
-		// S is a clique in G; check that removing it separates x from the
-		// rest of G'.
-		comp := gp.ComponentContaining(x, s)
-		if len(comp)+len(s) >= gp.NumNodes() {
-			continue // not a proper split: C ∪ S is all of G'
-		}
-		// S must be a *minimal* separator (see minimalSeparator).
-		if !minimalSeparator(gp, s, comp) {
-			continue
-		}
-		atomNodes := append(append([]int{}, comp...), s...)
-		sort.Ints(atomNodes)
-		d.Atoms = append(d.Atoms, makeAtom(g, atomNodes))
-		d.Separators = append(d.Separators, append([]int{}, s...))
-		for _, c := range comp {
-			gp.RemoveNode(c)
+	}
+	if aliveN > 0 {
+		d.Atoms = append(d.Atoms, Atom{Nodes: mergeIDs(gd, graph.AppendSetBits(comp[:0], alive), nil)})
+	}
+}
+
+// componentOf appends to comp, sorted, the component of x in G' = gd
+// restricted to alive with the separator sep deleted, marking it in inComp.
+func componentOf(gd *graph.Dense, x int32, alive, sep, inComp []uint64, comp []int32) []int32 {
+	graph.SetBit(inComp, x)
+	comp = append(comp, x)
+	for next := 0; next < len(comp); next++ {
+		for _, u := range gd.Row(comp[next]) {
+			if graph.TestBit(alive, u) && !graph.TestBit(sep, u) && !graph.TestBit(inComp, u) {
+				graph.SetBit(inComp, u)
+				comp = append(comp, u)
+			}
 		}
 	}
-	if gp.NumNodes() > 0 {
-		d.Atoms = append(d.Atoms, makeAtom(g, gp.Nodes()))
+	slices.Sort(comp)
+	return comp
+}
+
+// minimalSeparator reports whether the clique s is a minimal separator of
+// G' (gd restricted to alive) with respect to the component inComp: every
+// vertex of s needs a G'-neighbor inside the component and another outside
+// it and s. (madj sets of a minimal elimination ordering can be cliques
+// without being minimal separators — e.g. the madj {2,3} of the outer
+// vertex of a bowtie — and splitting on those emits spurious sub-atoms.)
+func minimalSeparator(gd *graph.Dense, s []int32, alive, sbits, inComp []uint64) bool {
+	for _, v := range s {
+		hasIn, hasOut := false, false
+		for _, u := range gd.Row(v) {
+			switch {
+			case !graph.TestBit(alive, u):
+			case graph.TestBit(inComp, u):
+				hasIn = true
+			case !graph.TestBit(sbits, u):
+				hasOut = true
+			}
+		}
+		if !hasIn || !hasOut {
+			return false
+		}
 	}
+	return true
+}
+
+// mergeIDs returns the original ids of the union of the ascending,
+// disjoint index lists a and b, ascending, in fresh storage.
+func mergeIDs(gd *graph.Dense, a, b []int32) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 || len(b) > 0 {
+		if len(b) == 0 || (len(a) > 0 && a[0] < b[0]) {
+			out, a = append(out, gd.ID(a[0])), a[1:]
+		} else {
+			out, b = append(out, gd.ID(b[0])), b[1:]
+		}
+	}
+	return out
 }

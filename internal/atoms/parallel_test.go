@@ -28,8 +28,9 @@ func multiComponentGraph(r *rand.Rand, nc int) *graph.Graph {
 }
 
 // TestDecomposeParallelMatchesSequential checks the determinism contract:
-// DecomposeParallel must return exactly what Decompose returns, for any
-// worker count, including single-component and empty graphs.
+// Decompose must return the same decomposition for any worker count, and
+// DecomposeParallel the same on the map graph, including single-component
+// and empty graphs.
 func TestDecomposeParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	graphs := []*graph.Graph{
@@ -41,10 +42,11 @@ func TestDecomposeParallelMatchesSequential(t *testing.T) {
 		graphs = append(graphs, multiComponentGraph(r, 1+r.Intn(6)))
 	}
 	for i, g := range graphs {
-		want := Decompose(g)
+		d := graph.FromGraph(g)
+		want := Decompose(d, 1)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got := DecomposeParallel(g, workers)
-			if !reflect.DeepEqual(want, got) {
+			got := Decompose(d, workers)
+			if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(want, DecomposeParallel(g, workers)) {
 				t.Errorf("graph %d, workers=%d: parallel decomposition differs from sequential", i, workers)
 			}
 		}

@@ -12,8 +12,6 @@
 package coloring
 
 import (
-	"fmt"
-
 	"parmem/internal/arena"
 	"parmem/internal/faultinject"
 	"parmem/internal/graph"
@@ -45,17 +43,17 @@ type Result struct {
 	Unassigned []int
 }
 
-// GuptaSoffa colors g with opt.K colors using the urgency heuristic of
-// paper Fig. 4. Nodes that cannot be colored are removed into
+// GuptaSoffa colors the snapshot d — in the engine, the induced
+// sub-snapshot of one atom — with opt.K colors using the urgency heuristic
+// of paper Fig. 4. Nodes that cannot be colored are removed into
 // Result.Unassigned instead of failing. Panics if opt.K < 1 (caller bug) or
 // if a precolored node has an out-of-range module.
 //
-// It snapshots g into the dense graph core (graph.Dense) and runs
-// allocation-free index loops; oracle.GuptaSoffaMap is the map-graph
-// original, which produces bit-identical results.
-func GuptaSoffa(g *graph.Graph, opt Options) Result {
+// oracle.GuptaSoffaMap is the map-graph original, which produces
+// bit-identical results.
+func GuptaSoffa(d *graph.Dense, opt Options) Result {
 	faultinject.Check("coloring.guptasoffa")
-	return guptaSoffaDense(g, opt)
+	return guptaSoffaDense(d, opt)
 }
 
 // lowestFree returns the smallest module index not in used: a node's
@@ -68,29 +66,4 @@ func lowestFree(used []bool) int {
 		}
 	}
 	panic("coloring: lowestFree called with no free module")
-}
-
-// CheckProper verifies that assign is a proper partial coloring of g: no
-// edge joins two assigned nodes of the same color. It returns the first
-// offending edge in (U,V) order, or ok. The scan walks adjacency in node
-// order with a reusable neighbor buffer instead of materializing the full
-// edge list.
-func CheckProper(g *graph.Graph, assign map[int]int) error {
-	var nbuf []int
-	for _, u := range g.Nodes() {
-		cu, okU := assign[u]
-		if !okU {
-			continue
-		}
-		nbuf = g.NeighborsAppend(u, nbuf[:0])
-		for _, v := range nbuf {
-			if v <= u {
-				continue // each edge once, as (min,max) — Edges() order
-			}
-			if cv, okV := assign[v]; okV && cu == cv {
-				return fmt.Errorf("coloring: adjacent nodes %d and %d share module %d", u, v, cu)
-			}
-		}
-	}
-	return nil
 }

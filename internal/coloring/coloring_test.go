@@ -31,7 +31,7 @@ func cycleGraph(n int) *graph.Graph {
 
 func TestGuptaSoffaTriangle(t *testing.T) {
 	g := completeGraph(3)
-	res := GuptaSoffa(g, Options{K: 3})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
 	if len(res.Unassigned) != 0 {
 		t.Fatalf("triangle with 3 modules: unassigned = %v", res.Unassigned)
 	}
@@ -42,7 +42,7 @@ func TestGuptaSoffaTriangle(t *testing.T) {
 
 func TestGuptaSoffaK4With3Modules(t *testing.T) {
 	g := completeGraph(4)
-	res := GuptaSoffa(g, Options{K: 3})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
 	if len(res.Unassigned) != 1 {
 		t.Fatalf("K4/3 modules: unassigned = %v, want exactly 1", res.Unassigned)
 	}
@@ -53,7 +53,7 @@ func TestGuptaSoffaK4With3Modules(t *testing.T) {
 
 func TestGuptaSoffaK5With3Modules(t *testing.T) {
 	g := completeGraph(5)
-	res := GuptaSoffa(g, Options{K: 3})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
 	if len(res.Unassigned) != 2 {
 		t.Fatalf("K5/3 modules: unassigned = %v, want exactly 2", res.Unassigned)
 	}
@@ -65,7 +65,7 @@ func TestGuptaSoffaK5With3Modules(t *testing.T) {
 func TestFigure1(t *testing.T) {
 	instrs := []conflict.Instruction{{1, 2, 4}, {2, 3, 5}, {2, 3, 4}}
 	g := conflict.Build(instrs)
-	res := GuptaSoffa(g, Options{K: 3})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
 	if len(res.Unassigned) != 0 {
 		t.Fatalf("Fig. 1 needs no duplication, but unassigned = %v", res.Unassigned)
 	}
@@ -91,7 +91,7 @@ func TestGuptaSoffaLowDegreeAlwaysColored(t *testing.T) {
 	for leaf := 1; leaf <= 5; leaf++ {
 		g.AddEdge(0, leaf, 1)
 	}
-	res := GuptaSoffa(g, Options{K: 2})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 2})
 	if len(res.Unassigned) != 0 {
 		t.Fatalf("star is 2-colorable: unassigned = %v", res.Unassigned)
 	}
@@ -103,7 +103,7 @@ func TestGuptaSoffaLowDegreeAlwaysColored(t *testing.T) {
 func TestGuptaSoffaPrecoloredRespected(t *testing.T) {
 	g := completeGraph(3)
 	pre := map[int]int{0: 2, 1: 0}
-	res := GuptaSoffa(g, Options{K: 3, Precolored: pre})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 3, Precolored: pre})
 	if res.Assign[0] != 2 || res.Assign[1] != 0 {
 		t.Fatalf("precolored moved: %v", res.Assign)
 	}
@@ -114,7 +114,7 @@ func TestGuptaSoffaPrecoloredRespected(t *testing.T) {
 
 func TestGuptaSoffaPrecoloredAbsentNodeIgnored(t *testing.T) {
 	g := completeGraph(2)
-	res := GuptaSoffa(g, Options{K: 2, Precolored: map[int]int{99: 1}})
+	res := GuptaSoffa(graph.FromGraph(g), Options{K: 2, Precolored: map[int]int{99: 1}})
 	if _, ok := res.Assign[99]; ok {
 		t.Fatal("precolored node absent from graph must be ignored")
 	}
@@ -132,15 +132,15 @@ func TestGuptaSoffaPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("K=0", func() { GuptaSoffa(graph.New(), Options{K: 0}) })
+	mustPanic("K=0", func() { GuptaSoffa(graph.FromGraph(graph.New()), Options{K: 0}) })
 	g := completeGraph(2)
 	mustPanic("precolored out of range", func() {
-		GuptaSoffa(g, Options{K: 2, Precolored: map[int]int{0: 5}})
+		GuptaSoffa(graph.FromGraph(g), Options{K: 2, Precolored: map[int]int{0: 5}})
 	})
 }
 
 func TestGuptaSoffaEmptyGraph(t *testing.T) {
-	res := GuptaSoffa(graph.New(), Options{K: 4})
+	res := GuptaSoffa(graph.FromGraph(graph.New()), Options{K: 4})
 	if len(res.Assign) != 0 || len(res.Unassigned) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
@@ -150,8 +150,8 @@ func TestGuptaSoffaDeterministic(t *testing.T) {
 	g := cycleGraph(9)
 	g.AddEdge(0, 4, 3)
 	g.AddEdge(2, 7, 2)
-	a := GuptaSoffa(g, Options{K: 3})
-	b := GuptaSoffa(g, Options{K: 3})
+	a := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
+	b := GuptaSoffa(graph.FromGraph(g), Options{K: 3})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("GuptaSoffa must be deterministic")
 	}
@@ -192,7 +192,7 @@ func TestGuptaSoffaInvariantsProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(4)
 		g := randomGraph(r, 3+r.Intn(15), 0.2+r.Float64()*0.5)
-		res := GuptaSoffa(g, Options{K: k})
+		res := GuptaSoffa(graph.FromGraph(g), Options{K: k})
 		if err := CheckProper(g, res.Assign); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -226,7 +226,7 @@ func TestPrecoloredSurvivesProperty(t *testing.T) {
 		g := randomGraph(r, 5+r.Intn(10), 0.3)
 		nodes := g.Nodes()
 		pre := map[int]int{nodes[0]: r.Intn(k)}
-		res := GuptaSoffa(g, Options{K: k, Precolored: pre})
+		res := GuptaSoffa(graph.FromGraph(g), Options{K: k, Precolored: pre})
 		return res.Assign[nodes[0]] == pre[nodes[0]]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -8,21 +8,21 @@ import (
 )
 
 // guptaSoffaDense is the urgency heuristic of paper Fig. 4 on the frozen
-// dense graph core: the conflict graph is snapshotted into CSR + flat
-// arrays once, and the selection loop runs over index-addressed scratch
-// slices instead of per-iteration maps and sorted copies.
+// dense graph core: the selection loop runs over the snapshot's CSR rows
+// and index-addressed scratch slices instead of per-iteration maps and
+// sorted copies. Degrees, weight rows and the S sums are d's own, so on a
+// sub-snapshot they are the induced ones, as the heuristic requires.
 //
 // It is bit-identical to oracle.GuptaSoffaMap for every input: dense
 // indices are assigned in ascending id order, so every "lowest id first"
 // tie-break of the map implementation is "lowest index first" here, and
 // both scan candidates in that same order.
-func guptaSoffaDense(g *graph.Graph, opt Options) Result {
+func guptaSoffaDense(d *graph.Dense, opt Options) Result {
 	k := opt.K
 	if k < 1 {
 		panic(fmt.Sprintf("coloring: K = %d, need at least one module", k))
 	}
-	// All selection-loop scratch (the dense snapshot and urgency arrays)
-	// is borrowed from the arena — the caller's shard when opt.Scratch is
+	// All selection-loop scratch (the urgency arrays) is borrowed from the arena — the caller's shard when opt.Scratch is
 	// set, a pooled one otherwise; only assign and Unassigned escape into
 	// the Result and stay freshly allocated.
 	sc := opt.Scratch
@@ -30,7 +30,6 @@ func guptaSoffaDense(g *graph.Graph, opt Options) Result {
 		sc = arena.Get()
 		defer sc.Release()
 	}
-	d := graph.FromGraphScratch(g, sc)
 	n := d.N()
 
 	assign := make(map[int]int, n)

@@ -30,11 +30,11 @@ func benchColoringGraph() *graph.Graph {
 }
 
 func BenchmarkColoringDense(b *testing.B) {
-	g := benchColoringGraph()
+	d := graph.FromGraph(benchColoringGraph())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := GuptaSoffa(g, Options{K: 8})
+		res := GuptaSoffa(d, Options{K: 8})
 		if len(res.Assign) == 0 {
 			b.Fatal("empty result")
 		}

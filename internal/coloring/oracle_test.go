@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parmem/internal/atoms"
 	"parmem/internal/coloring"
+	"parmem/internal/graph"
 	"parmem/internal/oracle"
 )
 
@@ -32,7 +34,7 @@ func TestGuptaSoffaDenseMatchesMap(t *testing.T) {
 		}
 		opt := coloring.Options{K: k, Precolored: pre}
 		want := oracle.GuptaSoffaMap(g, opt)
-		got := coloring.GuptaSoffa(g, opt)
+		got := coloring.GuptaSoffa(graph.FromGraph(g), opt)
 		if !reflect.DeepEqual(got.Assign, want.Assign) {
 			t.Fatalf("iter %d (k=%d pre=%v): assign %v, want %v\n%s",
 				iter, k, pre, got.Assign, want.Assign, g)
@@ -104,7 +106,7 @@ func TestHeuristicVsExactProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(2)
 		g := coloring.RandomGraph(r, 3+r.Intn(9), 0.3+r.Float64()*0.4)
-		h := coloring.GuptaSoffa(g, coloring.Options{K: k})
+		h := coloring.GuptaSoffa(graph.FromGraph(g), coloring.Options{K: k})
 		e := oracle.ExactMinRemoved(g, k)
 		if len(h.Unassigned) < len(e.Unassigned) {
 			t.Logf("seed %d: heuristic %d < exact %d", seed, len(h.Unassigned), len(e.Unassigned))
@@ -125,11 +127,70 @@ func TestHeuristicSuboptimalExists(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		k := 2 + r.Intn(2)
 		g := coloring.RandomGraph(r, 6+r.Intn(8), 0.4+r.Float64()*0.3)
-		h := coloring.GuptaSoffa(g, coloring.Options{K: k})
+		h := coloring.GuptaSoffa(graph.FromGraph(g), coloring.Options{K: k})
 		e := oracle.ExactMinRemoved(g, k)
 		if len(h.Unassigned) > len(e.Unassigned) {
 			return // found a witness: heuristic is suboptimal, as the paper states
 		}
 	}
 	t.Fatal("no instance found where the heuristic is suboptimal; either the heuristic became exact (unlikely) or the search is broken")
+}
+
+// TestGuptaSoffaInducedDegrees pins the induced-degree rule: colored on a
+// sub-snapshot, the heuristic's degree tests (deg < k drops a node's
+// outgoing weights; deg >= k counts a neighbor's incoming weight) and its
+// S sums must see only the subset's edges, exactly as on the induced map
+// graph.
+func TestGuptaSoffaInducedDegrees(t *testing.T) {
+	const k = 3
+	// A weighted 5-cycle whose every member also conflicts with three
+	// outside hubs: full degree 5 >= k, induced degree 2 < k.
+	g := graph.New()
+	for i := 0; i < 5; i++ {
+		g.AddEdge(i, (i+1)%5, 1+i)
+		for h := 10; h < 13; h++ {
+			g.AddEdge(i, h, 1+(i*h)%4)
+		}
+	}
+	d := graph.FromGraph(g)
+	cycle := []int32{0, 1, 2, 3, 4}
+	for _, pre := range []map[int]int{nil, {2: 1}} {
+		got := coloring.GuptaSoffa(d.Sub(cycle, nil), coloring.Options{K: k, Precolored: pre})
+		want := oracle.GuptaSoffaMap(g.Induced([]int{0, 1, 2, 3, 4}), coloring.Options{K: k, Precolored: pre})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle, precolored %v: got %+v, want %+v", pre, got, want)
+		}
+	}
+
+	// Atoms of random conflict graphs with some members removed, the way
+	// the engine drops the values an earlier atom failed to color.
+	r := rand.New(rand.NewSource(31))
+	checked := 0
+	for iter := 0; iter < 200; iter++ {
+		g := coloring.RandomConflictGraph(r, 8+r.Intn(20), 0.2+r.Float64()*0.4, 4)
+		d := graph.FromGraph(g)
+		for _, a := range atoms.Decompose(d, 1).Atoms {
+			var idx []int32
+			var keep []int
+			for _, v := range a.Nodes {
+				if r.Intn(4) != 0 {
+					idx = append(idx, d.Index(v))
+					keep = append(keep, v)
+				}
+			}
+			if len(keep) == len(a.Nodes) || len(keep) == 0 {
+				continue
+			}
+			pre := map[int]int{keep[0]: r.Intn(k)}
+			got := coloring.GuptaSoffa(d.Sub(idx, nil), coloring.Options{K: k, Precolored: pre})
+			want := oracle.GuptaSoffaMap(g.Induced(keep), coloring.Options{K: k, Precolored: pre})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d, atom %v without %d members: got %+v, want %+v", iter, a.Nodes, len(a.Nodes)-len(keep), got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d atoms with removed members checked", checked)
+	}
 }

@@ -59,18 +59,40 @@ func Normalize(instrs []Instruction) []Instruction {
 // Build constructs the access-conflict graph for the given instructions.
 // Every operand becomes a vertex (including operands that never conflict);
 // the weight of edge {u,v} is conf(u,v), the number of instructions whose
-// operand sets contain both u and v.
-//
-// Operand values are interned onto dense int32 indices so the pair counts
-// accumulate in a map keyed by one packed uint64 per pair instead of two
-// nested graph-map probes per occurrence; the graph receives one
-// AddEdgeWeight per *distinct* pair at the end. The result is identical to
-// inserting pairs one occurrence at a time.
+// operand sets contain both u and v. The map graph it returns is the
+// independent construction the oracle comparisons and the benchmark's
+// layer timings start from; the engine builds Snapshot instead.
 func Build(instrs []Instruction) *graph.Graph {
-	// The interning tables, pair counts and normalize buffer are all
-	// borrowed scratch; only the returned graph is freshly allocated.
 	sc := arena.Get()
 	defer sc.Release()
+	ids, conf := countPairs(instrs, sc)
+	g := graph.New()
+	for _, v := range ids {
+		g.AddNode(v)
+	}
+	for key, w := range conf {
+		g.AddEdgeWeight(ids[key>>32], ids[uint32(key)], w)
+	}
+	return g
+}
+
+// Snapshot builds the access-conflict graph of instrs straight into the
+// dense snapshot the engine runs on: the graph Build returns, frozen. Its
+// storage is borrowed from sc and only valid until sc is Reset or
+// Released; a nil sc allocates it fresh.
+func Snapshot(instrs []Instruction, sc *arena.Scratch) *graph.Dense {
+	isc := arena.Get()
+	defer isc.Release()
+	ids, conf := countPairs(instrs, isc)
+	return graph.FromPairs(ids, conf, sc)
+}
+
+// countPairs interns the operand values of instrs onto dense int32
+// indices and counts every distinct pair once per instruction, in a map
+// keyed by one packed uint64 per pair instead of two nested graph-map
+// probes per occurrence. It returns the values in first-seen order and the
+// counts keyed uint64(lo)<<32|uint64(hi) by index, both borrowed from sc.
+func countPairs(instrs []Instruction, sc *arena.Scratch) ([]int, map[uint64]int) {
 	intern := sc.IntInt32Map(len(instrs))
 	ids := sc.Ints(len(instrs))[:0] // index -> value id, first-seen order
 	conf := sc.PairMap(len(instrs))
@@ -96,14 +118,7 @@ func Build(instrs []Instruction) *graph.Graph {
 			}
 		}
 	}
-	g := graph.New()
-	for _, v := range ids {
-		g.AddNode(v)
-	}
-	for key, w := range conf {
-		g.AddEdgeWeight(ids[key>>32], ids[uint32(key)], w)
-	}
-	return g
+	return ids, conf
 }
 
 // normalizeInto is Instruction.Normalize with a caller-supplied buffer: it
@@ -123,11 +138,6 @@ func normalizeInto(in Instruction, buf Instruction) Instruction {
 	}
 	return buf[:base+w]
 }
-
-// Conf returns conf(u,v): the number of instructions using both u and v.
-// It is a convenience over Build(instrs).Weight(u,v) for callers that hold
-// the graph already.
-func Conf(g *graph.Graph, u, v ValueID) int { return g.Weight(u, v) }
 
 // Validate checks that no instruction has more distinct operands than the
 // machine has memory modules; such an instruction could never be fetched in
@@ -190,22 +200,13 @@ func appendCombKey(b []byte, comb []ValueID) []byte {
 	return b
 }
 
-// Combinations enumerates, without repetition, every size-n subset of
-// operands that occurs together in at least one instruction (the sets
-// S_i^n of paper Fig. 7). Each combination is sorted ascending; the result
-// is sorted lexicographically. Instructions with fewer than n operands
-// contribute nothing.
-func Combinations(instrs []Instruction, n int) [][]ValueID {
-	sc := arena.Get()
-	defer sc.Release()
-	// nil output scratch: the combinations escape to the caller.
-	return CombinationsTable(NormalizeTable(instrs, sc), n, nil)
-}
-
-// CombinationsTable is Combinations over a pre-normalized table. The
-// returned combination slices are carved from sc and share its lifetime
-// (nil sc allocates them fresh); internal dedup state is pooled either
-// way.
+// CombinationsTable enumerates, without repetition, every size-n subset of
+// operands that occurs together in at least one instruction of the
+// pre-normalized table (the sets S_i^n of paper Fig. 7). Each combination
+// is sorted ascending; the result is sorted lexicographically. Rows with
+// fewer than n operands contribute nothing. The returned combination
+// slices are carved from sc and share its lifetime (nil sc allocates them
+// fresh); internal dedup state is pooled either way.
 func CombinationsTable(t OpsTable, n int, sc *arena.Scratch) [][]ValueID {
 	if n <= 0 {
 		return nil
@@ -262,32 +263,4 @@ func lessIntSlice(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// Stats summarizes an instruction stream for reporting.
-type Stats struct {
-	Instructions int // total instructions
-	Values       int // distinct operand values
-	MaxOperands  int // largest distinct-operand count in one instruction
-	Edges        int // conflict-graph edges
-	TotalConf    int // sum of conf over all edges
-}
-
-// Summarize computes Stats for an instruction stream.
-func Summarize(instrs []Instruction) Stats {
-	g := Build(instrs)
-	s := Stats{
-		Instructions: len(instrs),
-		Values:       g.NumNodes(),
-		Edges:        g.NumEdges(),
-	}
-	for _, in := range instrs {
-		if n := len(in.Normalize()); n > s.MaxOperands {
-			s.MaxOperands = n
-		}
-	}
-	for _, e := range g.Edges() {
-		s.TotalConf += e.W
-	}
-	return s
 }

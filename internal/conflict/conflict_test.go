@@ -84,13 +84,6 @@ func TestBuildIsolatedOperand(t *testing.T) {
 	}
 }
 
-func TestConf(t *testing.T) {
-	g := Build(fig1())
-	if Conf(g, 2, 3) != 2 {
-		t.Fatalf("Conf = %d, want 2", Conf(g, 2, 3))
-	}
-}
-
 func TestValidate(t *testing.T) {
 	instrs := []Instruction{{1, 2, 3}, {4, 5}}
 	if err := Validate(instrs, 3); err != nil {
@@ -105,8 +98,13 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// combinations runs CombinationsTable over a freshly normalized stream.
+func combinations(instrs []Instruction, n int) [][]ValueID {
+	return CombinationsTable(NormalizeTable(instrs, nil), n, nil)
+}
+
 func TestCombinationsPairs(t *testing.T) {
-	got := Combinations(fig1(), 2)
+	got := combinations(fig1(), 2)
 	want := [][]int{{1, 2}, {1, 4}, {2, 3}, {2, 4}, {2, 5}, {3, 4}, {3, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pairs = %v, want %v", got, want)
@@ -114,7 +112,7 @@ func TestCombinationsPairs(t *testing.T) {
 }
 
 func TestCombinationsTriples(t *testing.T) {
-	got := Combinations(fig1(), 3)
+	got := combinations(fig1(), 3)
 	want := [][]int{{1, 2, 4}, {2, 3, 4}, {2, 3, 5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("triples = %v, want %v", got, want)
@@ -122,33 +120,20 @@ func TestCombinationsTriples(t *testing.T) {
 }
 
 func TestCombinationsTooLarge(t *testing.T) {
-	if got := Combinations(fig1(), 4); len(got) != 0 {
+	if got := combinations(fig1(), 4); len(got) != 0 {
 		t.Fatalf("no 4-combinations in 3-operand instructions, got %v", got)
 	}
-	if got := Combinations(fig1(), 0); got != nil {
+	if got := combinations(fig1(), 0); got != nil {
 		t.Fatalf("n=0 must yield nil, got %v", got)
 	}
 }
 
 func TestCombinationsDedup(t *testing.T) {
 	instrs := []Instruction{{1, 2, 3}, {3, 2, 1}, {1, 2, 4}}
-	got := Combinations(instrs, 3)
+	got := combinations(instrs, 3)
 	want := [][]int{{1, 2, 3}, {1, 2, 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("triples = %v, want %v", got, want)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize(fig1())
-	if s.Instructions != 3 || s.Values != 5 || s.MaxOperands != 3 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.Edges != 7 {
-		t.Fatalf("edges = %d, want 7", s.Edges)
-	}
-	if s.TotalConf != 9 { // 3 instructions x C(3,2) pairs
-		t.Fatalf("totalConf = %d, want 9", s.TotalConf)
 	}
 }
 
@@ -206,7 +191,7 @@ func TestCombinationsCoverProperty(t *testing.T) {
 			instrs = append(instrs, in)
 		}
 		n := 2 + r.Intn(2)
-		combs := Combinations(instrs, n)
+		combs := combinations(instrs, n)
 		inSet := func(comb []int, in Instruction) bool {
 			ops := map[int]bool{}
 			for _, o := range in.Normalize() {

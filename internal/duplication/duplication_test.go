@@ -111,8 +111,7 @@ func paperSection2(extra bool) []conflict.Instruction {
 // endToEnd runs coloring plus a duplication strategy.
 func endToEnd(t *testing.T, instrs []conflict.Instruction, k int, hit bool) Result {
 	t.Helper()
-	g := conflict.Build(instrs)
-	col := coloring.GuptaSoffa(g, coloring.Options{K: k})
+	col := coloring.GuptaSoffa(conflict.Snapshot(instrs, nil), coloring.Options{K: k})
 	in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
 	run := backtrack
 	if hit {
@@ -384,7 +383,7 @@ func TestPipelineProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(4)
 		instrs := randomInstrs(r, 3+r.Intn(12), 2+r.Intn(25), k)
-		g := conflict.Build(instrs)
+		g := conflict.Snapshot(instrs, nil)
 		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
 		in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
 		for _, f := range []func(Input) (Result, error){backtrack, hittingSet} {
@@ -411,7 +410,7 @@ func TestPipelineProperty(t *testing.T) {
 				}
 			}
 			// Every value that appears anywhere has storage.
-			for _, v := range g.Nodes() {
+			for _, v := range g.IDs() {
 				if res.Copies[v].Count() < 1 {
 					t.Logf("seed %d: value %d has no storage", seed, v)
 					return false
@@ -431,8 +430,7 @@ func TestStrategiesDeterministicProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(3)
 		instrs := randomInstrs(r, 4+r.Intn(8), 2+r.Intn(15), k)
-		g := conflict.Build(instrs)
-		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
+		col := coloring.GuptaSoffa(conflict.Snapshot(instrs, nil), coloring.Options{K: k})
 		in := Input{Instrs: instrs, Assigned: col.Assign, Unassigned: col.Unassigned, K: k}
 		a1, err1 := backtrack(in)
 		a2, err2 := backtrack(in)

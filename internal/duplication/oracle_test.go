@@ -71,8 +71,7 @@ func TestExactNeverWorseThanHeuristicsProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		k := 2 + r.Intn(3)
 		instrs := duplication.RandomInstrs(r, 4+r.Intn(5), 3+r.Intn(8), k)
-		g := conflict.Build(instrs)
-		col := coloring.GuptaSoffa(g, coloring.Options{K: k})
+		col := coloring.GuptaSoffa(conflict.Snapshot(instrs, nil), coloring.Options{K: k})
 		if len(col.Unassigned) > 4 {
 			return true // keep the exact search tractable
 		}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 
 	"parmem/internal/alloccache"
+	"parmem/internal/arena"
 	"parmem/internal/conflict"
 	"parmem/internal/server"
 )
@@ -76,7 +77,7 @@ func routeKey(op server.Op, payload []byte) uint64 {
 
 // assignKey hashes the conflict graph the backend's engine will build
 // from the instruction stream — the canonical (order-independent) graph
-// hash the allocation cache itself uses — mixed with K.
+// hash of its snapshot — mixed with K.
 func assignKey(req server.AssignRequest) uint64 {
 	instrs := make([]conflict.Instruction, len(req.Instrs))
 	for i, ops := range req.Instrs {
@@ -87,8 +88,9 @@ func assignKey(req server.AssignRequest) uint64 {
 		}
 		instrs[i] = conflict.Instruction(ops)
 	}
-	g := conflict.Build(instrs)
-	h := alloccache.CanonicalHash(g)
+	sc := arena.Get()
+	defer sc.Release()
+	h := alloccache.CanonicalHashDense(conflict.Snapshot(instrs, sc))
 	return mixOpts(h, req.K, req.Strategy, req.Method)
 }
 

@@ -1,15 +1,18 @@
 package graph
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"parmem/internal/arena"
 )
 
-// Dense is a frozen, cache-friendly snapshot of a Graph, built once and then
+// Dense is a frozen, cache-friendly snapshot of a graph, built once and then
 // read by the hot phases (MCS-M ordering, urgency coloring, clique checks).
+// FromPairs builds one (conflict.Snapshot feeds it straight from an
+// instruction stream, FromGraph from a map graph), Sub extracts the
+// induced sub-snapshot of an index set, and Patch applies an edit.
 //
 // Vertices are remapped onto the dense index range [0,n) in ascending
 // original-id order, so index order and id order agree and every tie-break
@@ -34,8 +37,7 @@ import (
 // Edge weights ride in a flat []int32 parallel to the neighbor array, and
 // degrees are offset differences — no map lookups anywhere on the read path.
 type Dense struct {
-	ids []int         // index -> original id, ascending
-	idx map[int]int32 // original id -> index
+	ids []int // index -> original id, ascending; Index binary-searches it
 
 	off []int32 // CSR offsets; row i is nbr[off[i]:off[i+1]]
 	nbr []int32 // neighbor indices, sorted ascending within each row
@@ -61,13 +63,13 @@ type Dense struct {
 	numEdges int
 }
 
-// DenseBitsetMaxN bounds the vertex count up to which FromGraph materializes
+// DenseBitsetMaxN bounds the vertex count up to which a snapshot materializes
 // the flat bitset adjacency matrix. At the threshold the matrix occupies
 // n*n/8 = 512 KiB — small enough to live in L2 while covering every conflict
 // graph the paper's workloads produce by orders of magnitude.
 const DenseBitsetMaxN = 2048
 
-// BlockedBitsetMaxN bounds the vertex count up to which FromGraph builds
+// BlockedBitsetMaxN bounds the vertex count up to which a snapshot builds
 // the blocked bitset when the flat matrix is too big. The per-row overhead
 // of the summary and block-reference arrays is 12 bytes per 4096-column
 // block — n²·12/4096 bytes total, ~29 MiB at the ceiling — while the
@@ -88,7 +90,7 @@ var flatCeiling, blockedCeiling = DenseBitsetMaxN, BlockedBitsetMaxN
 // blocked bitset forms and returns a func restoring the previous values.
 // Passing 0 for both forces the CSR binary-search fallback everywhere. It
 // is a test/benchmark hook for the representation-differential sweeps; it
-// must not be called concurrently with FromGraph.
+// must not be called while snapshots are being built.
 func SetBitsetCeilings(flat, blocked int) (restore func()) {
 	pf, pb := flatCeiling, blockedCeiling
 	flatCeiling, blockedCeiling = flat, blocked
@@ -96,56 +98,165 @@ func SetBitsetCeilings(flat, blocked int) (restore func()) {
 }
 
 // FromGraph builds the dense snapshot of g. Later mutations of g are not
-// reflected; callers freeze the graph first (every compiler phase does — the
-// conflict graph never changes after construction).
+// reflected. The engine builds its snapshots straight from the instruction
+// stream (conflict.Snapshot); FromGraph serves the map-graph boundary: the
+// tests, the oracle comparisons and the benchmark's layer timings.
 func FromGraph(g *Graph) *Dense {
-	return FromGraphScratch(g, nil)
+	ids := make([]int, 0, len(g.adj))
+	pos := make(map[int]int32, len(g.adj))
+	for v := range g.adj {
+		pos[v] = int32(len(ids))
+		ids = append(ids, v)
+	}
+	pairs := make(map[uint64]int, g.m)
+	for u, nbrs := range g.adj {
+		for v, w := range nbrs {
+			if u < v {
+				pairs[uint64(pos[u])<<32|uint64(pos[v])] = w
+			}
+		}
+	}
+	return FromPairs(ids, pairs, nil)
 }
 
-// FromGraphScratch is FromGraph with the backing arrays (ids, index map,
-// CSR offsets/neighbors/weights, bitset matrix) borrowed from sc. The
-// returned Dense is only valid until sc is Reset or Released and must not
-// escape that scope. A nil sc allocates fresh storage, identical to
-// FromGraph.
-func FromGraphScratch(g *Graph, sc *arena.Scratch) *Dense {
-	n := len(g.adj)
-	d := &Dense{
-		ids: sc.Ints(n)[:0],
-		idx: sc.IntInt32Map(n),
-		off: sc.Int32s(n + 1),
+// FromPairs is the one CSR constructor: it builds the snapshot over the
+// distinct vertex ids (in any order) whose weighted edges are pairs, keyed
+// uint64(a)<<32|uint64(b) by the positions a != b of the endpoints in ids,
+// each unordered pair once. The snapshot's storage is borrowed from sc and
+// only valid until sc is Reset or Released; a nil sc allocates it fresh.
+func FromPairs(ids []int, pairs map[uint64]int, sc *arena.Scratch) *Dense {
+	tmp := arena.Get()
+	defer tmp.Release()
+	n := len(ids)
+	// rank[p] is the dense index of ids[p]: its position in id order.
+	perm := tmp.Int32s(n)
+	for p := range perm {
+		perm[p] = int32(p)
 	}
-	for v := range g.adj {
-		d.ids = append(d.ids, v)
+	slices.SortFunc(perm, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
+	rank := tmp.Int32s(n)
+	d := &Dense{ids: sc.Ints(n), off: sc.Int32s(n + 1)}
+	for i, p := range perm {
+		rank[p] = int32(i)
+		d.ids[i] = ids[p]
 	}
-	sort.Ints(d.ids)
-	for i, v := range d.ids {
-		d.idx[v] = int32(i)
+	for key := range pairs {
+		d.off[rank[key>>32]+1]++
+		d.off[rank[uint32(key)]+1]++
 	}
-
-	total := 0
-	for i, v := range d.ids {
-		deg := len(g.adj[v])
-		total += deg
-		d.off[i+1] = d.off[i] + int32(deg)
+	for i := 0; i < n; i++ {
+		d.off[i+1] += d.off[i]
 	}
-	d.nbr = sc.Int32s(total)
-	d.wt = sc.Int32s(total)
-	d.numEdges = total / 2
-
-	for i, v := range d.ids {
-		row := d.nbr[d.off[i]:d.off[i]:d.off[i+1]]
-		for u := range g.adj[v] {
-			row = append(row, d.idx[u])
-		}
+	total := int(d.off[n])
+	// Each row entry packs (neighbor, weight), so sorting a row's words
+	// orders it by neighbor and carries the weights along.
+	packed := tmp.Uint64s(total)
+	next := tmp.Int32s(n)
+	copy(next, d.off[:n])
+	for key, w := range pairs {
+		a, b := rank[key>>32], rank[uint32(key)]
+		packed[next[a]] = uint64(b)<<32 | uint64(uint32(w))
+		packed[next[b]] = uint64(a)<<32 | uint64(uint32(w))
+		next[a]++
+		next[b]++
+	}
+	d.nbr, d.wt = sc.Int32s(total), sc.Int32s(total)
+	for i := 0; i < n; i++ {
+		row := packed[d.off[i]:d.off[i+1]]
 		slices.Sort(row)
-		for j, u := range row {
-			d.wt[int(d.off[i])+j] = int32(g.adj[v][d.ids[u]])
+		for j, x := range row {
+			d.nbr[int(d.off[i])+j] = int32(x >> 32)
+			d.wt[int(d.off[i])+j] = int32(uint32(x))
 		}
 	}
+	d.numEdges = total / 2
+	d.buildBitsets(sc)
+	return d
+}
 
+// Sub returns the sub-snapshot induced by the dense indices idx, which
+// must ascend: local index j is idx[j], so local index order is still id
+// order, and only the edges with both endpoints in idx remain, which makes
+// every degree, weight row and bitset of the result the induced one. The
+// storage comes from sc, sized by len(idx) apart from a membership mask of
+// BitsetWords(N()) words; when idx is every index the result is d itself.
+func (d *Dense) Sub(idx []int32, sc *arena.Scratch) *Dense {
+	if len(idx) == d.N() {
+		return d
+	}
+	in := sc.Uint64s(BitsetWords(d.N()))
+	for _, i := range idx {
+		SetBit(in, i)
+	}
+	s := &Dense{ids: sc.Ints(len(idx)), off: sc.Int32s(len(idx) + 1)}
+	total := 0
+	for j, i := range idx {
+		s.ids[j] = d.ids[i]
+		for _, u := range d.Row(i) {
+			if TestBit(in, u) {
+				total++
+			}
+		}
+		s.off[j+1] = int32(total)
+	}
+	s.nbr, s.wt = sc.Int32s(total), sc.Int32s(total)
+	p := 0
+	for _, i := range idx {
+		wts := d.WeightRow(i)
+		local := 0 // rows ascend, so the local position only moves forward
+		for k, u := range d.Row(i) {
+			if !TestBit(in, u) {
+				continue
+			}
+			off, _ := slices.BinarySearch(idx[local:], u)
+			local += off
+			s.nbr[p], s.wt[p] = int32(local), wts[k]
+			p++
+		}
+	}
+	s.numEdges = total / 2
+	s.buildBitsets(sc)
+	return s
+}
+
+// Components returns the vertex sets of the connected components as
+// ascending dense indices, ordered by their smallest index.
+func (d *Dense) Components() [][]int32 {
+	n := d.N()
+	seen := make([]uint64, BitsetWords(n))
+	var comps [][]int32
+	var stack []int32
+	for start := int32(0); int(start) < n; start++ {
+		if TestBit(seen, start) {
+			continue
+		}
+		var comp []int32
+		SetBit(seen, start)
+		stack = append(stack[:0], start)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, v)
+			for _, u := range d.Row(v) {
+				if !TestBit(seen, u) {
+					SetBit(seen, u)
+					stack = append(stack, u)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// buildBitsets materializes the bitset adjacency the vertex count calls
+// for under the active ceilings, from the finished CSR rows.
+func (d *Dense) buildBitsets(sc *arena.Scratch) {
+	n := len(d.ids)
 	switch {
 	case n > 0 && n <= flatCeiling:
-		d.stride = (n + 63) / 64
+		d.stride = BitsetWords(n)
 		d.bits = sc.Uint64s(n * d.stride)
 		for i := 0; i < n; i++ {
 			for _, u := range d.Row(int32(i)) {
@@ -155,7 +266,6 @@ func FromGraphScratch(g *Graph, sc *arena.Scratch) *Dense {
 	case n > flatCeiling && n <= blockedCeiling:
 		d.buildBlocked(sc)
 	}
-	return d
 }
 
 // buildBlocked materializes the two-level blocked bitset: a first pass
@@ -214,8 +324,8 @@ func (d *Dense) IDs() []int { return d.ids }
 
 // Index returns the dense index of original id v, or -1 if v is absent.
 func (d *Dense) Index(v int) int32 {
-	if i, ok := d.idx[v]; ok {
-		return i
+	if i, ok := slices.BinarySearch(d.ids, v); ok {
+		return int32(i)
 	}
 	return -1
 }
@@ -367,18 +477,6 @@ func (d *Dense) rowMaskWords(i int32, mask []uint64, dst []int32, andNot bool) [
 	return dst
 }
 
-// WeightIdx returns the weight of edge {u,v} by dense index, or 0 if the
-// edge is absent.
-func (d *Dense) WeightIdx(u, v int32) int32 {
-	if u == v {
-		return 0
-	}
-	if j := d.searchRow(u, v); j >= 0 {
-		return d.wt[j]
-	}
-	return 0
-}
-
 // searchRow binary-searches row u for v, returning the flat CSR position or
 // -1.
 func (d *Dense) searchRow(u, v int32) int {
@@ -395,71 +493,4 @@ func (d *Dense) searchRow(u, v int32) int {
 		}
 	}
 	return -1
-}
-
-// HasNode reports whether original id v is a vertex.
-func (d *Dense) HasNode(v int) bool { _, ok := d.idx[v]; return ok }
-
-// HasEdge reports whether the undirected edge {u,v} exists, by original id.
-func (d *Dense) HasEdge(u, v int) bool {
-	ui, ok := d.idx[u]
-	if !ok {
-		return false
-	}
-	vi, ok := d.idx[v]
-	if !ok {
-		return false
-	}
-	return d.HasEdgeIdx(ui, vi)
-}
-
-// Weight returns the weight of edge {u,v} by original id, or 0 if absent.
-func (d *Dense) Weight(u, v int) int {
-	ui, ok := d.idx[u]
-	if !ok {
-		return 0
-	}
-	vi, ok := d.idx[v]
-	if !ok {
-		return 0
-	}
-	return int(d.WeightIdx(ui, vi))
-}
-
-// Degree returns the degree of original id v, or 0 if absent.
-func (d *Dense) Degree(v int) int {
-	i, ok := d.idx[v]
-	if !ok {
-		return 0
-	}
-	return d.Deg(i)
-}
-
-// IsCliqueIDs reports whether every pair of the given original ids is
-// adjacent. The empty set and singletons are cliques. Ids absent from the
-// graph make the set a non-clique (they have no incident edges).
-func (d *Dense) IsCliqueIDs(vs []int) bool {
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !d.HasEdge(vs[i], vs[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Edges returns all edges as original-id triples sorted by (U,V), exactly
-// like Graph.Edges.
-func (d *Dense) Edges() []Edge {
-	out := make([]Edge, 0, d.numEdges)
-	for i := 0; i < len(d.ids); i++ {
-		row, wts := d.Row(int32(i)), d.WeightRow(int32(i))
-		for j, u := range row {
-			if int32(i) < u {
-				out = append(out, Edge{U: d.ids[i], V: d.ids[u], W: int(wts[j])})
-			}
-		}
-	}
-	return out
 }

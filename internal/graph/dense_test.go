@@ -53,11 +53,12 @@ func TestDenseMatchesGraph(t *testing.T) {
 			t.Fatalf("iter %d: NumEdges = %d, want %d", iter, d.NumEdges(), g.NumEdges())
 		}
 		for _, v := range nodes {
-			if d.Degree(v) != g.Degree(v) {
-				t.Fatalf("iter %d: Degree(%d) = %d, want %d", iter, v, d.Degree(v), g.Degree(v))
+			i := d.Index(v)
+			if d.Deg(i) != g.Degree(v) {
+				t.Fatalf("iter %d: Deg(%d) = %d, want %d", iter, v, d.Deg(i), g.Degree(v))
 			}
 			nbrs := g.Neighbors(v)
-			row := d.Row(d.Index(v))
+			row := d.Row(i)
 			if len(row) != len(nbrs) {
 				t.Fatalf("iter %d: Row(%d) has %d entries, want %d", iter, v, len(row), len(nbrs))
 			}
@@ -65,43 +66,23 @@ func TestDenseMatchesGraph(t *testing.T) {
 				if d.ID(row[j]) != u {
 					t.Fatalf("iter %d: Row(%d)[%d] = id %d, want %d", iter, v, j, d.ID(row[j]), u)
 				}
-				if w := d.WeightRow(d.Index(v))[j]; int(w) != g.Weight(v, u) {
+				if w := d.WeightRow(i)[j]; int(w) != g.Weight(v, u) {
 					t.Fatalf("iter %d: weight(%d,%d) = %d, want %d", iter, v, u, w, g.Weight(v, u))
 				}
 			}
 		}
-		// Pairwise HasEdge/Weight, including absent ids.
-		probe := append(append([]int{}, nodes...), -1, 999999)
-		for _, u := range probe {
-			for _, v := range probe {
-				if d.HasEdge(u, v) != g.HasEdge(u, v) {
-					t.Fatalf("iter %d: HasEdge(%d,%d) = %v, want %v", iter, u, v, d.HasEdge(u, v), g.HasEdge(u, v))
-				}
-				if d.Weight(u, v) != g.Weight(u, v) {
-					t.Fatalf("iter %d: Weight(%d,%d) = %d, want %d", iter, u, v, d.Weight(u, v), g.Weight(u, v))
-				}
-			}
-		}
-		// Edges must be bit-identical to the map graph's sorted edge list.
-		ge, de := g.Edges(), d.Edges()
-		if len(ge) != len(de) {
-			t.Fatalf("iter %d: %d edges, want %d", iter, len(de), len(ge))
-		}
-		for i := range ge {
-			if ge[i] != de[i] {
-				t.Fatalf("iter %d: edge %d = %+v, want %+v", iter, i, de[i], ge[i])
-			}
-		}
-		// Random subsets: IsCliqueIDs vs IsClique.
-		for trial := 0; trial < 10 && n > 0; trial++ {
-			var vs []int
+		// Pairwise HasEdgeIdx, and Index of absent ids.
+		for _, u := range nodes {
 			for _, v := range nodes {
-				if r.Intn(4) == 0 {
-					vs = append(vs, v)
+				ui, vi := d.Index(u), d.Index(v)
+				if d.HasEdgeIdx(ui, vi) != g.HasEdge(u, v) {
+					t.Fatalf("iter %d: HasEdgeIdx(%d,%d) = %v, want %v", iter, u, v, d.HasEdgeIdx(ui, vi), g.HasEdge(u, v))
 				}
 			}
-			if d.IsCliqueIDs(vs) != g.IsClique(vs) {
-				t.Fatalf("iter %d: IsCliqueIDs(%v) = %v, want %v", iter, vs, d.IsCliqueIDs(vs), g.IsClique(vs))
+		}
+		for _, v := range []int{-1, 8, 999999} {
+			if d.Index(v) != -1 {
+				t.Fatalf("iter %d: Index(%d) = %d for an absent id", iter, v, d.Index(v))
 			}
 		}
 	}

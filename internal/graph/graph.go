@@ -1,11 +1,15 @@
-// Package graph provides a deterministic undirected graph with integer
-// vertices and integer edge weights.
+// Package graph provides deterministic undirected graphs with integer
+// vertices and integer edge weights, in two representations.
 //
-// It is the substrate shared by the access-conflict graph
-// (internal/conflict), the clique-separator decomposition (internal/atoms)
-// and the coloring heuristics (internal/coloring). All iteration orders are
-// deterministic (sorted by vertex id) so that every stage of the compiler is
-// reproducible run to run.
+// Dense, the frozen CSR-plus-bitset snapshot, is the only graph the
+// assignment engine runs on: the access-conflict graph (internal/conflict)
+// is built straight into one, and the clique-separator decomposition
+// (internal/atoms) and the coloring heuristic (internal/coloring) work on
+// its induced sub-snapshots. Graph, the mutable map-backed form, is the
+// representation of the reference implementations in internal/oracle and
+// of the graph-taking entry points the benchmark compiles against. All
+// iteration orders are deterministic (sorted by vertex id) so that every
+// stage of the compiler is reproducible run to run.
 package graph
 
 import (
@@ -299,17 +303,6 @@ func (g *Graph) IsSeparator(sep []int) bool {
 	}
 	comp := g.ComponentContaining(outside[0], sep)
 	return len(comp) < len(outside)
-}
-
-// MaxDegree returns the maximum vertex degree, or 0 for an empty graph.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, nbrs := range g.adj {
-		if len(nbrs) > max {
-			max = len(nbrs)
-		}
-	}
-	return max
 }
 
 // String renders the graph as "v: n1 n2 ..." lines for debugging.

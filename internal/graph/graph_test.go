@@ -250,19 +250,6 @@ func TestIsSeparator(t *testing.T) {
 	}
 }
 
-func TestMaxDegree(t *testing.T) {
-	if d := New().MaxDegree(); d != 0 {
-		t.Fatalf("empty MaxDegree = %d", d)
-	}
-	g := New()
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(0, 2, 1)
-	g.AddEdge(0, 3, 1)
-	if d := g.MaxDegree(); d != 3 {
-		t.Fatalf("star MaxDegree = %d, want 3", d)
-	}
-}
-
 func TestStringDeterministic(t *testing.T) {
 	g := complete(3)
 	if g.String() != g.String() {

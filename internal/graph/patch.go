@@ -49,7 +49,7 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 		}
 	}
 	for _, v := range addNodes {
-		if _, ok := d.idx[v]; !ok && !drop[v] {
+		if d.Index(v) < 0 && !drop[v] {
 			ids = append(ids, v)
 		}
 	}
@@ -57,14 +57,7 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 	ids = slices.Compact(ids)
 
 	n := len(ids)
-	nd := &Dense{
-		ids: ids,
-		idx: make(map[int]int32, n),
-		off: make([]int32, n+1),
-	}
-	for i, v := range ids {
-		nd.idx[v] = int32(i)
-	}
+	nd := &Dense{ids: ids, off: make([]int32, n+1)}
 
 	// Group deltas per endpoint id, both directions, keeping only vertices
 	// present in the new set.
@@ -77,10 +70,7 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 		if wd.U == wd.V {
 			continue
 		}
-		if _, ok := nd.idx[wd.U]; !ok {
-			continue
-		}
-		if _, ok := nd.idx[wd.V]; !ok {
+		if nd.Index(wd.U) < 0 || nd.Index(wd.V) < 0 {
 			continue
 		}
 		rowDeltas[wd.U] = append(rowDeltas[wd.U], rowDelta{wd.V, wd.DW})
@@ -120,7 +110,7 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 			}
 		}
 		var oldRow, oldWt []int32
-		if oi, ok := d.idx[v]; ok {
+		if oi := d.Index(v); oi >= 0 {
 			oldRow, oldWt = d.Row(oi), d.WeightRow(oi)
 		}
 		row := mergedRow{}
@@ -133,13 +123,13 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 		}
 		for k, oi := range oldRow {
 			uid := d.ids[oi]
-			ui, ok := nd.idx[uid]
-			if !ok {
+			ui := nd.Index(uid)
+			if ui < 0 {
 				continue // neighbor dropped
 			}
 			w := oldWt[k]
 			for j < len(cl) && cl[j].other < uid {
-				emit(nd.idx[cl[j].other], cl[j].dw)
+				emit(nd.Index(cl[j].other), cl[j].dw)
 				j++
 			}
 			if j < len(cl) && cl[j].other == uid {
@@ -149,12 +139,10 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 			emit(ui, w)
 		}
 		for ; j < len(cl); j++ {
-			emit(nd.idx[cl[j].other], cl[j].dw)
+			emit(nd.Index(cl[j].other), cl[j].dw)
 		}
-		// Both walks emit in ascending ID order and the id→index remap is
-		// monotone, so indices are already ascending; the sort is a no-op
-		// pass kept as a structural guard.
-		sortRowPair(row.nbr, row.wt)
+		// Both walks emit in ascending id order and the id→index remap is
+		// monotone, so the row is born sorted.
 		return row
 	}
 
@@ -162,8 +150,7 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 	for i := 0; i < n; i++ {
 		v := ids[i]
 		_, touched := rowDeltas[v]
-		oi, existed := d.idx[v]
-		if sameIDs && !touched && existed {
+		if oi := d.Index(v); sameIDs && !touched && oi >= 0 {
 			total += d.Deg(oi)
 		} else {
 			r := mergeRow(int32(i))
@@ -184,86 +171,11 @@ func (d *Dense) Patch(deltas []WeightDelta, addNodes, dropNodes []int) *Dense {
 			copy(dwt, r.wt)
 			continue
 		}
-		oi := d.idx[ids[i]]
+		oi := d.Index(ids[i])
 		copy(dst, d.Row(oi))
 		copy(dwt, d.WeightRow(oi))
 	}
 
-	// Bitset adjacency under the same ceilings as FromGraphScratch. When
-	// the flat form survives with a stable vertex set, untouched rows copy
-	// and only touched rows re-derive; every other transition rebuilds
-	// from the (already patched) CSR.
-	switch {
-	case n > 0 && n <= flatCeiling:
-		nd.stride = (n + 63) / 64
-		nd.bits = make([]uint64, n*nd.stride)
-		if sameIDs && d.bits != nil && nd.stride == d.stride {
-			copy(nd.bits, d.bits)
-			for i := range merged {
-				row := nd.bits[int(i)*nd.stride : (int(i)+1)*nd.stride]
-				for w := range row {
-					row[w] = 0
-				}
-				for _, u := range nd.Row(i) {
-					row[int(u)/64] |= 1 << (uint(u) % 64)
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				for _, u := range nd.Row(int32(i)) {
-					nd.bits[i*nd.stride+int(u)/64] |= 1 << (uint(u) % 64)
-				}
-			}
-		}
-	case n > flatCeiling && n <= blockedCeiling:
-		nd.buildBlocked(nil)
-	}
+	nd.buildBitsets(nil)
 	return nd
-}
-
-// sortRowPair sorts nbr ascending, carrying wt along.
-func sortRowPair(nbr, wt []int32) {
-	if len(nbr) < 2 {
-		return
-	}
-	sort.Sort(&rowPair{nbr, wt})
-}
-
-type rowPair struct{ nbr, wt []int32 }
-
-func (p *rowPair) Len() int           { return len(p.nbr) }
-func (p *rowPair) Less(i, j int) bool { return p.nbr[i] < p.nbr[j] }
-func (p *rowPair) Swap(i, j int) {
-	p.nbr[i], p.nbr[j] = p.nbr[j], p.nbr[i]
-	p.wt[i], p.wt[j] = p.wt[j], p.wt[i]
-}
-
-// InducedGraph extracts the subgraph on the given original ids as a fresh
-// map-backed Graph: the dirty components of the incremental engine are
-// carved out of the patched snapshot with it and re-enter the normal
-// decompose/color pipeline. Ids absent from the snapshot become isolated
-// vertices (matching Graph.Induced's treatment of unknown ids is moot —
-// the engine only passes ids read back from the snapshot).
-func (d *Dense) InducedGraph(ids []int) *Graph {
-	g := New()
-	in := make(map[int32]bool, len(ids))
-	for _, v := range ids {
-		g.AddNode(v)
-		if i, ok := d.idx[v]; ok {
-			in[i] = true
-		}
-	}
-	for _, v := range ids {
-		i, ok := d.idx[v]
-		if !ok {
-			continue
-		}
-		row, wts := d.Row(i), d.WeightRow(i)
-		for j, u := range row {
-			if u > i && in[u] {
-				g.AddEdgeWeight(v, d.ids[u], int(wts[j]))
-			}
-		}
-	}
-	return g
 }

@@ -192,37 +192,59 @@ func TestDensePatchRepresentationCrossing(t *testing.T) {
 	}
 }
 
-// TestDenseInducedGraph checks InducedGraph against Graph.Induced on the
-// source graph.
-func TestDenseInducedGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		g := New()
-		n := 4 + rng.Intn(20)
-		for v := 0; v < n; v++ {
-			g.AddNode(v)
-		}
-		for e := 0; e < 3*n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdgeWeight(u, v, 1+rng.Intn(2))
+// TestDenseSub checks Sub against Graph.Induced on the source graph, under
+// all three bitset forms: the sub-snapshot must be structurally identical
+// to a cold FromGraph of the induced map graph, so its degrees, weight rows
+// and bitset rows are the induced ones.
+func TestDenseSub(t *testing.T) {
+	for _, kind := range []struct{ flat, blocked int }{
+		{DenseBitsetMaxN, BlockedBitsetMaxN}, {4, BlockedBitsetMaxN}, {0, 0},
+	} {
+		restore := SetBitsetCeilings(kind.flat, kind.blocked)
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 40; trial++ {
+			g := New()
+			n := 4 + rng.Intn(20)
+			for v := 0; v < n; v++ {
+				g.AddNode(3 * v)
 			}
+			for e := 0; e < 3*n; e++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v {
+					g.AddEdgeWeight(3*u, 3*v, 1+rng.Intn(2))
+				}
+			}
+			d := FromGraph(g)
+			var idx []int32
+			var keep []int
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					idx = append(idx, int32(i))
+					keep = append(keep, d.ID(int32(i)))
+				}
+			}
+			equalDense(t, d.Sub(idx, nil), FromGraph(g.Induced(keep)))
 		}
+		restore()
+	}
+}
+
+// TestDenseComponents checks Components against Graph.ConnectedComponents.
+func TestDenseComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 40; trial++ {
+		g := randomIDGraph(rng, rng.Intn(30), 0.08)
 		d := FromGraph(g)
-		var keep []int
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				keep = append(keep, v)
+		var got [][]int
+		for _, comp := range d.Components() {
+			var ids []int
+			for _, i := range comp {
+				ids = append(ids, d.ID(i))
 			}
+			got = append(got, ids)
 		}
-		got := d.InducedGraph(keep)
-		want := g.Induced(keep)
-		if !reflect.DeepEqual(got.Edges(), want.Edges()) {
-			t.Fatalf("induced edges: got %v want %v", got.Edges(), want.Edges())
-		}
-		gn, wn := got.Nodes(), want.Nodes()
-		if !reflect.DeepEqual(gn, wn) {
-			t.Fatalf("induced nodes: got %v want %v", gn, wn)
+		if want := g.ConnectedComponents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: components %v, want %v", trial, got, want)
 		}
 	}
 }

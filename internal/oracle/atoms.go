@@ -118,8 +118,7 @@ func DecomposeRef(g *graph.Graph) atoms.Decomposition {
 }
 
 // DecomposeParallelRef is DecomposeRef with the components decomposed on
-// at most workers goroutines and merged in component order. Its signature
-// matches atoms.DecomposeParallel, so assign.SetBackends can swap it in.
+// at most workers goroutines and merged in component order.
 func DecomposeParallelRef(g *graph.Graph, workers int) atoms.Decomposition {
 	comps := g.ConnectedComponents()
 	parts := make([]atoms.Decomposition, len(comps))
@@ -195,15 +194,14 @@ func decomposeConnectedRef(g *graph.Graph, d *atoms.Decomposition) {
 		}
 		atomNodes := append(append([]int{}, comp...), s...)
 		sort.Ints(atomNodes)
-		d.Atoms = append(d.Atoms, atoms.Atom{Nodes: atomNodes, Graph: g.Induced(atomNodes)})
+		d.Atoms = append(d.Atoms, atoms.Atom{Nodes: atomNodes})
 		d.Separators = append(d.Separators, append([]int{}, s...))
 		for _, c := range comp {
 			gp.RemoveNode(c)
 		}
 	}
 	if gp.NumNodes() > 0 {
-		rest := gp.Nodes()
-		d.Atoms = append(d.Atoms, atoms.Atom{Nodes: rest, Graph: g.Induced(rest)})
+		d.Atoms = append(d.Atoms, atoms.Atom{Nodes: gp.Nodes()})
 	}
 }
 

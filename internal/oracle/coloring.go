@@ -10,8 +10,7 @@ import (
 
 // GuptaSoffaMap is the map-graph implementation of the urgency heuristic
 // of paper Fig. 4, the reference coloring.GuptaSoffa is proven
-// bit-identical to. Its signature matches coloring.GuptaSoffa, so
-// assign.SetBackends can swap it in; it ignores opt.Scratch.
+// bit-identical to. It ignores opt.Scratch.
 func GuptaSoffaMap(g *graph.Graph, opt coloring.Options) coloring.Result {
 	k := opt.K
 	if k < 1 {
