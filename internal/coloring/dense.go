@@ -22,9 +22,10 @@ func guptaSoffaDense(d *graph.Dense, opt Options) Result {
 	if k < 1 {
 		panic(fmt.Sprintf("coloring: K = %d, need at least one module", k))
 	}
-	// All selection-loop scratch (the urgency arrays) is borrowed from the arena — the caller's shard when opt.Scratch is
-	// set, a pooled one otherwise; only assign and Unassigned escape into
-	// the Result and stay freshly allocated.
+	// All selection-loop scratch (the urgency arrays) is borrowed from the
+	// arena — the caller's shard when opt.Scratch is set, a pooled one
+	// otherwise; only assign and Unassigned escape into the Result and stay
+	// freshly allocated.
 	sc := opt.Scratch
 	if sc == nil {
 		sc = arena.Get()

@@ -120,19 +120,12 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
 // Nodes returns all vertex ids in ascending order.
 func (g *Graph) Nodes() []int {
-	return g.NodesAppend(nil)
-}
-
-// NodesAppend appends all vertex ids in ascending order to buf and returns
-// the extended slice. Callers that scan nodes inside a loop pass buf[:0] of
-// a reusable buffer so the per-call allocation of Nodes disappears.
-func (g *Graph) NodesAppend(buf []int) []int {
-	base := len(buf)
+	out := make([]int, 0, len(g.adj))
 	for v := range g.adj {
-		buf = append(buf, v)
+		out = append(out, v)
 	}
-	sort.Ints(buf[base:])
-	return buf
+	sort.Ints(out)
+	return out
 }
 
 // Neighbors returns the neighbors of v in ascending order.
