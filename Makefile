@@ -40,11 +40,13 @@ flake-hunt:
 	$(GO) test -count=50 $(FLAKE_PKGS)
 	$(GO) test -race -count=50 $(FLAKE_PKGS)
 
-# fanout reruns the golden digests and the parallel-determinism tests at
-# one and two CPUs: Workers=0 resolves to one worker per CPU, so on a
-# 1-CPU box the fanned-out engine would otherwise never meet the digests.
+# fanout reruns the golden digests, the parallel-determinism tests and the
+# decomposition tests at one and two CPUs: Workers=0 resolves to one worker
+# per CPU, so on a 1-CPU box the decomposition's fan-out would otherwise
+# never meet the digests.
 fanout:
 	$(GO) test -count=1 -cpu 1,2 -run 'TestGoldenAllocations|TestParallel' .
+	$(GO) test -count=1 -cpu 1,2 -run TestDecompose ./internal/atoms
 
 # boundary keeps the map graph out of the engine, whose only graph is
 # graph.Dense: no non-test file of assign, coloring or gateway may build,

@@ -5,7 +5,9 @@
 // It reads the benchmark output on stdin and writes a JSON document to
 // stdout (or -o file): one record per benchmark with the iteration count
 // and every reported metric (ns/op, B/op, allocs/op and any custom
-// testing.B ReportMetric units) keyed by unit.
+// testing.B ReportMetric units) keyed by unit. The document also records
+// where the numbers come from: the core count, GOMAXPROCS, Go version and
+// git commit of the run.
 //
 //	go test -bench . -benchmem ./... | bench2json -o BENCH.json
 //
@@ -27,6 +29,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -40,8 +44,14 @@ type Record struct {
 
 // Output is the whole document.
 type Output struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// Cores, GOMAXPROCS, GoVersion and Commit record the machine, the
+	// toolchain and the code the numbers were measured on.
+	Cores      int      `json:"cores,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Commit     string   `json:"commit,omitempty"`
 	Pkg        []string `json:"packages,omitempty"`
 	Benchmarks []Record `json:"benchmarks"`
 }
@@ -88,6 +98,8 @@ func main() {
 	}
 	annotateScaling(&doc)
 	annotateIncremental(&doc)
+	doc.Cores, doc.GoVersion, doc.Commit = runtime.NumCPU(), runtime.Version(), gitCommit()
+	doc.GOMAXPROCS = gomaxprocs(doc.Benchmarks)
 
 	enc, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -105,6 +117,31 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// gitCommit names the checked-out commit, suffixed "-dirty" when the
+// working tree has uncommitted changes, or "unknown" outside a git tree.
+func gitCommit() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// gomaxprocs reads the GOMAXPROCS the benchmarks ran under from the -P
+// suffix the testing package appends to their names (it appends none at
+// 1). It returns 0 when the document holds no benchmark.
+func gomaxprocs(recs []Record) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	name := recs[0].Name
+	if key := benchKey(name); key != name {
+		p, _ := strconv.Atoi(name[len(key)+1:])
+		return p
+	}
+	return 1
 }
 
 func fatal(err error) {

@@ -90,3 +90,21 @@ func TestAnnotateIncremental(t *testing.T) {
 		}
 	}
 }
+
+func TestGomaxprocs(t *testing.T) {
+	rec := func(name string) []Record { return []Record{{Name: name}} }
+	cases := []struct {
+		recs []Record
+		want int
+	}{
+		{rec("BenchmarkAssignScaling/chains/workers=2-8"), 8},
+		{rec("BenchmarkDenseVsMap/dense-2"), 2},
+		{rec("BenchmarkDenseVsMap/dense"), 1},
+		{nil, 0},
+	}
+	for _, c := range cases {
+		if got := gomaxprocs(c.recs); got != c.want {
+			t.Errorf("gomaxprocs(%v) = %d, want %d", c.recs, got, c.want)
+		}
+	}
+}

@@ -131,10 +131,6 @@ type Scratch struct {
 	// once per Reset, so observability costs no atomics per borrow.
 	gets   int64
 	zeroed int64 // bytes handed out zeroed (reused capacity + fresh)
-
-	// inShard marks a Scratch currently owned by a Shards set; its Resets
-	// are tallied separately so the per-worker reuse rate is observable.
-	inShard bool
 }
 
 // Stats is a snapshot of the package-wide arena counters.
@@ -145,6 +141,8 @@ type Stats struct {
 	Puts int64
 	// ZeroedBytes counts slice bytes handed out zeroed.
 	ZeroedBytes int64
+	// PoolGets counts Scratches drawn from the global pool via Get.
+	PoolGets int64
 }
 
 // global counters, flushed from per-Scratch tallies on Reset. Disabled
@@ -154,9 +152,7 @@ var (
 	statPuts   atomic.Int64
 	statZeroed atomic.Int64
 
-	statPoolGets    atomic.Int64
-	statShardGets   atomic.Int64
-	statShardResets atomic.Int64
+	statPoolGets atomic.Int64
 )
 
 // ReadStats returns the cumulative arena counters for this process.
@@ -165,30 +161,7 @@ func ReadStats() Stats {
 		Gets:        statGets.Load(),
 		Puts:        statPuts.Load(),
 		ZeroedBytes: statZeroed.Load(),
-	}
-}
-
-// ShardStats is a snapshot of the worker-sharding counters: how scratches
-// reach workers (single Get vs shard handout) and how often shard-owned
-// scratches are recycled in place. A healthy parallel phase shows ShardGets
-// growing by the worker count per phase and ShardResets growing by the item
-// count — the pool itself is only touched at phase boundaries.
-type ShardStats struct {
-	// PoolGets counts Scratches drawn one at a time via Get.
-	PoolGets int64
-	// ShardGets counts Scratches handed out as part of a Shards set.
-	ShardGets int64
-	// ShardResets counts in-place Resets of shard-owned Scratches (one per
-	// work item a worker finished without touching the global pool).
-	ShardResets int64
-}
-
-// ReadShardStats returns the cumulative worker-sharding counters.
-func ReadShardStats() ShardStats {
-	return ShardStats{
 		PoolGets:    statPoolGets.Load(),
-		ShardGets:   statShardGets.Load(),
-		ShardResets: statShardResets.Load(),
 	}
 }
 
@@ -300,9 +273,6 @@ func (s *Scratch) Reset() {
 	if puts > 0 {
 		statPuts.Add(int64(puts))
 	}
-	if s.inShard {
-		statShardResets.Add(1)
-	}
 	if s.gets > 0 {
 		statGets.Add(s.gets)
 		statZeroed.Add(s.zeroed)
@@ -355,58 +325,6 @@ func Get() *Scratch {
 	}
 	statPoolGets.Add(1)
 	return pool.Load().Get().(*Scratch)
-}
-
-// Shards is a fixed set of per-worker Scratches drawn from the pool in one
-// step. A parallel phase obtains one Shards sized to its worker pool, each
-// worker indexes its private slot with Worker and Resets it between work
-// items, and Release returns the whole set — so the phase costs O(workers)
-// pool operations total instead of two per work item, and no two cores ever
-// contend on the sync.Pool while the phase runs.
-//
-// When pooling is disabled every slot is nil, which is the valid
-// fresh-allocation Scratch — the parallel differential oracle keeps working
-// unchanged.
-type Shards struct {
-	scs []*Scratch
-}
-
-// GetShards returns n per-worker Scratches (nil slots when pooling is
-// disabled).
-func GetShards(n int) *Shards {
-	sh := &Shards{scs: make([]*Scratch, n)}
-	if !enabled.Load() {
-		return sh
-	}
-	p := pool.Load()
-	for i := range sh.scs {
-		sc := p.Get().(*Scratch)
-		sc.inShard = true
-		sh.scs[i] = sc
-	}
-	statShardGets.Add(int64(n))
-	return sh
-}
-
-// Worker returns worker i's private Scratch (possibly nil — the valid
-// fresh-allocation Scratch — when pooling is disabled).
-func (sh *Shards) Worker(i int) *Scratch { return sh.scs[i] }
-
-// Len returns the number of shards.
-func (sh *Shards) Len() int { return len(sh.scs) }
-
-// Release resets every shard and returns it to the pool. No Scratch of the
-// set, nor any buffer borrowed from one, may be used afterwards.
-func (sh *Shards) Release() {
-	for i, sc := range sh.scs {
-		if sc != nil {
-			// Clear the mark first: the final drain is pool bookkeeping, not
-			// a per-item reuse, so it stays out of ShardResets.
-			sc.inShard = false
-			sc.Release()
-			sh.scs[i] = nil
-		}
-	}
 }
 
 // SetEnabled turns pooling on or off globally and reports the previous

@@ -118,12 +118,12 @@ type Options struct {
 	// exactly as with an internally built meter; Ctx and Budget are ignored
 	// while a Meter is set.
 	Meter *budget.Meter
-	// Workers bounds the worker pool of the parallel assignment engine:
-	// per-atom coloring and per-component duplication fan out across this
-	// many goroutines. 0 (the default) means one worker per available CPU
-	// (runtime.GOMAXPROCS); 1 or any negative value forces the sequential
-	// paths. The parallel engine is bit-identical to the sequential one
-	// whenever the budget is not exhausted mid-run.
+	// Workers bounds the decomposition's fan-out: connected components
+	// of at least atoms.ParallelMinNodes vertices are decomposed across
+	// this many goroutines when there are two or more of them. 0 (the
+	// default) means one worker per available CPU (runtime.GOMAXPROCS); 1
+	// or any negative value keeps everything on the caller's goroutine.
+	// Workers never changes the result.
 	Workers int
 	// Cache memoizes whole assignments and STOR1 conflict components
 	// across calls. nil disables caching. The cache is a pure memo — hits
@@ -421,11 +421,10 @@ func (st *phaseState) colorPhase(g *graph.Dense, opt Options) (map[int]int, []in
 	// whose vertices necessarily received pairwise-distinct modules — so
 	// sequential extension can never start from a clash. (Processing in
 	// carve order can color the two endpoints of an edge in two different
-	// atoms before the atom containing the edge is reached.) colorAtoms
-	// runs that order sequentially or fans independent atoms across the
-	// worker pool; both produce identical results.
-	// The decomposition itself fans out per connected component (merged in
-	// component order, so it too is deterministic).
+	// atoms before the atom containing the edge is reached.) The
+	// decomposition fans large connected components out across the
+	// workers and merges them in component order, so its result does not
+	// depend on the worker count.
 	dsp := st.rec.StartSpan("decompose", st.span)
 	dec := decompose(work, opt.workerCount())
 	if dsp != nil {

@@ -29,9 +29,9 @@ func (e *allocEntry) CloneEntry() alloccache.Entry {
 }
 
 // assignKey signs a whole Assign call: the program and every option that
-// influences the result. Workers is deliberately absent — the parallel
-// engine is bit-identical to the sequential one — and so is the budget,
-// because only budget-independent (non-degraded) results are stored.
+// influences the result. Workers is deliberately absent — it never
+// changes the result — and so is the budget, because only
+// budget-independent (non-degraded) results are stored.
 func assignKey(p Program, opt Options) string {
 	sc := arena.Get()
 	defer sc.Release()

@@ -117,7 +117,7 @@ func (s *IncrState) NumInstructions() int { return len(s.instrs) }
 
 // incrSig fingerprints every option the per-component records depend on.
 // Workers and Budget are deliberately absent for the same reason they are
-// absent from assignKey: the parallel engine is bit-identical and only
+// absent from assignKey: Workers never changes a result and only
 // budget-independent results are retained.
 func incrSig(opt Options) string {
 	k := alloccache.NewKey(nil)
@@ -392,7 +392,7 @@ func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string
 		var afb string
 		if g != nil {
 			var err error
-			if copies, afb, err = duplication.Cores(in, method, opt.workerCount()); err != nil {
+			if copies, afb, err = duplication.Cores(in, method); err != nil {
 				dsp.End()
 				return fb, err
 			}

@@ -19,6 +19,7 @@ package atoms
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"parmem/internal/arena"
 	"parmem/internal/graph"
@@ -97,22 +98,37 @@ func MCSM(d *graph.Dense) Triangulation {
 	return tri
 }
 
+// ParallelMinNodes is the size floor of Decompose's fan-out: only
+// connected components of at least this many vertices go to the workers,
+// and only when two or more of them reach it. A smaller component
+// decomposes in less time than handing it to another goroutine costs, so
+// it stays on the caller's. DESIGN §7 records the fit.
+const ParallelMinNodes = 32
+
 // Decompose splits d into its atoms. The union of the atoms' vertex sets
 // covers the vertices of d, every edge appears in at least one atom, and
 // the vertices of each clique minimal separator are shared between atoms.
 // A disconnected graph is decomposed one connected component at a time,
-// each on its own sub-snapshot, fanned across at most workers goroutines
-// when there are several; the per-component results are merged in
-// component order, so the output does not depend on workers. An empty
-// graph yields no atoms. oracle.DecomposeRef is the map-backed original,
-// which produces bit-identical results.
+// each on its own sub-snapshot; the components of at least
+// ParallelMinNodes vertices are fanned across at most workers goroutines
+// (the caller's among them) when there are two or more. The
+// per-component results are merged in component order, so the output does
+// not depend on workers. An empty graph yields no atoms.
+// oracle.DecomposeRef is the map-backed original, which produces
+// bit-identical results.
 func Decompose(d *graph.Dense, workers int) Decomposition {
 	comps := d.Components()
-	workers = min(workers, len(comps))
-	if workers <= 1 {
+	var large []int // indices into comps of the components at the floor
+	for i, comp := range comps {
+		if len(comp) >= ParallelMinNodes {
+			large = append(large, i)
+		}
+	}
+	workers = min(workers, len(large))
+	sc := arena.Get()
+	defer sc.Release()
+	if workers < 2 {
 		var dec Decomposition
-		sc := arena.Get()
-		defer sc.Release()
 		for _, comp := range comps {
 			decomposeConnectedDense(d.Sub(comp, sc), &dec, sc)
 			sc.Reset()
@@ -120,42 +136,46 @@ func Decompose(d *graph.Dense, workers int) Decomposition {
 		return dec
 	}
 
+	// Every component decomposes into its own slot. The workers claim the
+	// large components one at a time; the caller decomposes the small ones
+	// first and then joins them. Each worker owns one Scratch, Reset
+	// between components.
 	parts := make([]Decomposition, len(comps))
-	panics := make([]any, len(comps))
-	idx := make(chan int)
-	// One arena shard per worker for the whole fan-out: workers recycle
-	// their private Scratch between components and never touch the global
-	// pool mid-phase.
-	shards := arena.GetShards(workers)
-	defer shards.Release()
+	var next atomic.Int64
+	claim := func(sc *arena.Scratch) {
+		for i := next.Add(1) - 1; i < int64(len(large)); i = next.Add(1) - 1 {
+			c := large[i]
+			decomposeConnectedDense(d.Sub(comps[c], sc), &parts[c], sc)
+			sc.Reset()
+		}
+	}
+	panics := make([]any, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := shards.Worker(w)
-			for i := range idx {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					decomposeConnectedDense(d.Sub(comps[i], sc), &parts[i], sc)
-				}()
-				sc.Reset()
-			}
+			defer func() { panics[w] = recover() }()
+			wsc := arena.Get()
+			defer wsc.Release()
+			claim(wsc)
 		}(w)
 	}
-	for i := range comps {
-		idx <- i
-	}
-	close(idx)
+	func() {
+		defer func() { panics[0] = recover() }()
+		for i, comp := range comps {
+			if len(comp) < ParallelMinNodes {
+				decomposeConnectedDense(d.Sub(comp, sc), &parts[i], sc)
+				sc.Reset()
+			}
+		}
+		claim(sc)
+	}()
 	wg.Wait()
 	for _, r := range panics {
 		if r != nil {
-			// Re-raise on the caller's goroutine so the usual phase
-			// boundary recovery applies.
+			// Re-raise on the caller's goroutine once every worker has
+			// stopped, so the usual phase boundary recovery applies.
 			panic(r)
 		}
 	}

@@ -29,10 +29,9 @@ type Input struct {
 	// returns an error wrapping budget.ErrCanceled.
 	Meter *budget.Meter
 	// Scratch optionally supplies the arena a strategy core borrows its
-	// working set from — the parallel engine passes each worker's shard so
-	// per-component runs reuse one set of buffers. The caller owns its
-	// lifecycle (Reset between components); nil draws a Scratch from the
-	// global pool for the duration of the call.
+	// working set from — the backtracking search passes its own to the
+	// hitting-set fallback. The caller owns its lifecycle; nil draws a
+	// Scratch from the global pool for the duration of the call.
 	Scratch *arena.Scratch
 }
 

@@ -9,23 +9,23 @@ var (
 )
 
 // solve runs one strategy end to end, the way the assign engine does:
-// Cores on workers goroutines, then the global Finish. It also returns the
-// fallback Cores reported.
-func solve(in Input, m Method, workers int) (Result, string, error) {
-	copies, fb, err := Cores(in, m, workers)
+// Cores, then the global Finish. It also returns the fallback Cores
+// reported.
+func solve(in Input, m Method) (Result, string, error) {
+	copies, fb, err := Cores(in, m)
 	if err != nil {
 		return Result{}, "", err
 	}
 	return Finish(in, copies), fb, nil
 }
 
-// backtrack and hittingSet are solve on one worker, fallback dropped.
+// backtrack and hittingSet are solve with the fallback dropped.
 func backtrack(in Input) (Result, error) {
-	res, _, err := solve(in, MethodBacktrack, 1)
+	res, _, err := solve(in, MethodBacktrack)
 	return res, err
 }
 
 func hittingSet(in Input) (Result, error) {
-	res, _, err := solve(in, MethodHittingSet, 1)
+	res, _, err := solve(in, MethodHittingSet)
 	return res, err
 }

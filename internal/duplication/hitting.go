@@ -276,8 +276,9 @@ func vecGreater(a, b []int, k int) bool {
 // backtracking search (roughly one node per instruction examined or
 // combination enumerated). On budget exhaustion the approach degrades to
 // full replication: every replicable operand of a still-conflicting
-// instruction receives a copy in every module, which is conflict-free by
-// construction wherever replicable values are involved; the fallback is
+// instruction, and every replicable operand still without storage, receives
+// a copy in every module, which is conflict-free by construction wherever
+// replicable values are involved; the fallback is
 // then "fullreplication". Cancellation aborts with an error wrapping
 // budget.ErrCanceled.
 func hittingCore(in Input) (Copies, string, error) {
@@ -285,7 +286,7 @@ func hittingCore(in Input) (Copies, string, error) {
 	// One arena scope covers the whole strategy: the normalized operand
 	// table, the replicable set and every Place/Combinations buffer. The
 	// copy table escapes into the Result and stays freshly allocated.
-	// Workers of the parallel engine pass their shard via in.Scratch.
+	// backtrackCore's fallback passes its own Scratch via in.Scratch.
 	sc := in.Scratch
 	if sc == nil {
 		sc = arena.Get()
@@ -299,18 +300,18 @@ func hittingCore(in Input) (Copies, string, error) {
 	}
 
 	// degrade resolves every remaining conflict by brute replication. A
-	// single forward pass suffices: ConflictFree is monotone in the copy
-	// sets, so enlarging copies for a later instruction never breaks an
-	// earlier one.
+	// replicable operand without storage gets a full copy set too:
+	// ConflictFree treats it as a wildcard, but Finish would pin it to one
+	// least-loaded module, which can clash. A single forward pass
+	// suffices: ConflictFree is monotone in the copy sets, so enlarging
+	// copies for a later instruction never breaks an earlier one.
 	degrade := func() (Copies, string, error) {
 		full := Full(in.K)
 		for i := 0; i < tbl.Len(); i++ {
 			ops := tbl.Row(i)
-			if ConflictFree(ops, copies) {
-				continue
-			}
+			conflicting := !ConflictFree(ops, copies)
 			for _, v := range ops {
-				if repl[v] {
+				if repl[v] && (conflicting || copies[v] == 0) {
 					copies[v] = full
 				}
 			}

@@ -2,8 +2,8 @@
 // graph coloring by replicating data values across memory modules
 // (Gupta & Soffa, PPOPP 1988, §2.2).
 //
-// Two strategies are implemented, each as a core that Cores runs per
-// connected component before one global Finish:
+// Two strategies are implemented, each as a core that Cores runs before one
+// global Finish:
 //
 //   - MethodBacktrack (paper Fig. 6): instructions are processed one at a
 //     time in order of how many replicable operands they contain; for each,

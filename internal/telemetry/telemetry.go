@@ -62,14 +62,10 @@ const (
 	MArenaPuts        = "parmem_arena_puts_total"         // counter: buffers recycled
 	MArenaZeroedBytes = "parmem_arena_zeroed_bytes_total" // counter: bytes zeroed for reuse
 	MArenaPoolGets    = "parmem_arena_pool_gets_total"    // counter: Scratches drawn from the global pool
-	MArenaShardGets   = "parmem_arena_shard_gets_total"   // counter: Scratches handed out as worker shards
-	MArenaShardResets = "parmem_arena_shard_resets_total" // counter: per-item reuses of a worker shard
 
-	// Worker pools and batching.
-	MPoolBusyWorkers = "parmem_pool_busy_workers"     // gauge: goroutines currently running engine work
-	MPoolBusyNanos   = "parmem_pool_busy_nanos_total" // counter: summed busy wall time (utilization numerator)
-	MBatchInFlight   = "parmem_batch_inflight"        // gauge: batch items currently compiling
-	MBatchItems      = "parmem_batch_items_total"     // counter: batch items started
+	// Batching.
+	MBatchInFlight = "parmem_batch_inflight"    // gauge: batch items currently compiling
+	MBatchItems    = "parmem_batch_items_total" // counter: batch items started
 
 	// Server (parmemd): connection, admission and drain health.
 	MServerConnsOpen   = "parmem_server_conns_open"       // gauge: connections currently open
@@ -131,10 +127,6 @@ var metricHelp = map[string]string{
 	MArenaPuts:        "Scratch-arena buffers recycled back to free lists.",
 	MArenaZeroedBytes: "Bytes zeroed when handing out scratch buffers.",
 	MArenaPoolGets:    "Scratches drawn from the global arena pool.",
-	MArenaShardGets:   "Scratches handed out as per-worker arena shards.",
-	MArenaShardResets: "Per-item reuses of a worker's arena shard.",
-	MPoolBusyWorkers:  "Engine worker goroutines currently busy.",
-	MPoolBusyNanos:    "Summed wall time engine workers spent busy, nanoseconds.",
 	MBatchInFlight:    "Batch items currently being compiled.",
 	MBatchItems:       "Batch items started.",
 

@@ -118,7 +118,7 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 		sp.SetAttrStr("method", "backtrack")
 		sp.SetLane(1)
 		rec.Counter(MColorings).Inc()
-		rec.Gauge(MPoolBusyWorkers).Add(1)
+		rec.Gauge(MBatchInFlight).Add(1)
 		rec.Histogram(MUnassigned).Observe(3)
 		sp.End()
 	})
@@ -149,9 +149,9 @@ func TestConcurrentRecorder(t *testing.T) {
 				sp.SetAttr("i", int64(i))
 				rec.Counter(MColorings).Inc()
 				rec.Counter(MCopiesPlaced, "method", "backtrack").Add(2)
-				rec.Gauge(MPoolBusyWorkers).Add(1)
+				rec.Gauge(MBatchInFlight).Add(1)
 				rec.Histogram(MAtomSize).Observe(int64(i % 32))
-				rec.Gauge(MPoolBusyWorkers).Add(-1)
+				rec.Gauge(MBatchInFlight).Add(-1)
 				sp.End()
 			}
 			parent.End()
@@ -166,7 +166,7 @@ func TestConcurrentRecorder(t *testing.T) {
 	if got := rec.Counter(MCopiesPlaced, "method", "backtrack").Value(); got != 2*workers*perWorker {
 		t.Fatalf("copies = %d, want %d", got, 2*workers*perWorker)
 	}
-	if got := rec.Gauge(MPoolBusyWorkers).Value(); got != 0 {
+	if got := rec.Gauge(MBatchInFlight).Value(); got != 0 {
 		t.Fatalf("busy workers = %d, want 0 after quiesce", got)
 	}
 	if got := rec.Histogram(MAtomSize).Count(); got != workers*perWorker {

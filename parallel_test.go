@@ -192,3 +192,36 @@ func TestRecoverPhasePassthrough(t *testing.T) {
 		t.Errorf("raw panic: got %v, want *InternalError with Phase %q", err, "outer")
 	}
 }
+
+// TestParallelBudgetExhaustion pins that Workers never changes a result,
+// not even when the search budget runs out mid-run: the decomposition is
+// the only stage that fans out and it charges no budget, so the meter sees
+// the same charges in the same order at every worker count. The input's
+// three 78-value components are past atoms.ParallelMinNodes, so the
+// decomposition really fans out; a one-node budget degrades both methods.
+func TestParallelBudgetExhaustion(t *testing.T) {
+	instrs := engineStressInstrs(3, 78, 5)
+	for _, method := range []Method{HittingSet, Backtrack} {
+		var want Allocation
+		for _, workers := range []int{1, 2, 8} {
+			cfg := AssignConfig{K: 5, Method: method, Budget: Budget{MaxBacktrackNodes: 1}, Workers: workers}
+			al, err := AssignValues(context.Background(), instrs, cfg)
+			if err != nil {
+				t.Fatalf("%v/workers=%d: %v", method, workers, err)
+			}
+			if !al.Degraded {
+				t.Fatalf("%v/workers=%d: a one-node budget did not degrade the run", method, workers)
+			}
+			for i := range al.Phases {
+				al.Phases[i].Elapsed = 0 // wall-clock time, the one volatile field
+			}
+			if workers == 1 {
+				want = al
+				continue
+			}
+			if !reflect.DeepEqual(want, al) {
+				t.Errorf("%v/workers=%d: allocation differs from workers=1\nwant: %+v\ngot:  %+v", method, workers, want.Phases, al.Phases)
+			}
+		}
+	}
+}

@@ -174,13 +174,13 @@ type Options struct {
 	// compilation budget degrades to a cheaper strategy (see
 	// Allocation.Degraded and Allocation.Phases) instead of failing.
 	Budget Budget
-	// Workers bounds the worker pool of the parallel assignment engine:
-	// per-atom coloring and per-component duplication fan out across this
-	// many goroutines, sharing one budget meter. 0 (the default) means one
-	// worker per available CPU; 1 forces the sequential paths; negative
-	// values are rejected with a *ConfigError. Parallel and sequential
-	// runs produce bit-identical allocations whenever the budget is not
-	// exhausted mid-run.
+	// Workers bounds the assignment engine's one fan-out: the connected
+	// components of the conflict graph that reach the decomposition's size
+	// floor are decomposed across this many goroutines when there are two
+	// or more of them. 0 (the default) means one worker per available CPU;
+	// 1 keeps the whole engine on the caller's goroutine; negative values
+	// are rejected with a *ConfigError. Workers never changes the
+	// allocation, not even when the budget runs out.
 	Workers int
 	// Store is the cache the compilation reads and writes: the in-memory
 	// memo table of an OpenCacheStore, optionally backed by a persistent
@@ -463,8 +463,8 @@ type AssignConfig struct {
 	// DefaultMaxBacktrackNodes. Exhaustion degrades to a cheaper strategy
 	// and marks the Allocation Degraded instead of failing.
 	Budget Budget
-	// Workers bounds the parallel assignment engine's worker pool; see
-	// Options.Workers for the semantics.
+	// Workers bounds the assignment engine's fan-out; see Options.Workers
+	// for the semantics.
 	Workers int
 	// Store is the cache this call reads and writes; see Options.Store.
 	Store CacheStore

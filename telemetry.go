@@ -73,10 +73,7 @@ func registerArenaCollector(rec *Recorder) {
 		rec.Counter(telemetry.MArenaGets).Sync(st.Gets)
 		rec.Counter(telemetry.MArenaPuts).Sync(st.Puts)
 		rec.Counter(telemetry.MArenaZeroedBytes).Sync(st.ZeroedBytes)
-		ss := arena.ReadShardStats()
-		rec.Counter(telemetry.MArenaPoolGets).Sync(ss.PoolGets)
-		rec.Counter(telemetry.MArenaShardGets).Sync(ss.ShardGets)
-		rec.Counter(telemetry.MArenaShardResets).Sync(ss.ShardResets)
+		rec.Counter(telemetry.MArenaPoolGets).Sync(st.PoolGets)
 	})
 }
 

@@ -140,33 +140,6 @@ func TestIncrementalTelemetryTree(t *testing.T) {
 	assertOneTree(t, spans, "assign_delta")
 }
 
-func TestAssignTelemetryParallelLanes(t *testing.T) {
-	instrs := engineStressInstrs(8, 12, 5)
-	ring := NewRingSink(1 << 16)
-	rec := NewRecorder(ring)
-	if _, err := AssignValues(context.Background(), instrs, AssignConfig{
-		K: 5, Workers: 4, Telemetry: rec,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	byName, _ := spanIndex(ring.Spans())
-	offLane := 0
-	for _, s := range byName["atom"] {
-		if s.Lane > 0 {
-			offLane++
-		}
-	}
-	if offLane == 0 {
-		t.Fatal("no atom span ran on a worker lane despite Workers=4")
-	}
-	if got := rec.Counter(telemetry.MPoolBusyNanos).Value(); got <= 0 {
-		t.Fatalf("pool busy nanos = %d, want > 0", got)
-	}
-	if got := rec.Gauge(telemetry.MPoolBusyWorkers).Value(); got != 0 {
-		t.Fatalf("pool busy workers = %d, want 0 after quiesce", got)
-	}
-}
-
 func TestBatchTelemetryExact(t *testing.T) {
 	srcs := batchSources()
 	rec := NewRecorder()
@@ -188,8 +161,8 @@ func TestBatchTelemetryExact(t *testing.T) {
 }
 
 // TestMetricsEndpointSeries drives a cached, parallel workload and asserts
-// the scraped Prometheus text carries the cache and worker-utilization
-// series the observability story promises.
+// the scraped Prometheus text carries the cache, arena and phase series the
+// observability story promises.
 func TestMetricsEndpointSeries(t *testing.T) {
 	instrs := engineStressInstrs(8, 12, 5)
 	rec := NewRecorder()
@@ -208,8 +181,6 @@ func TestMetricsEndpointSeries(t *testing.T) {
 		`parmem_cache_hits_total{level="assign"} 1`,
 		`parmem_cache_misses_total{level=`,
 		"parmem_cache_entries ",
-		"parmem_pool_busy_nanos_total ",
-		"parmem_pool_busy_workers 0",
 		"parmem_arena_gets_total ",
 		"parmem_phase_duration_us_bucket",
 	} {
