@@ -50,10 +50,9 @@ func ChainNodes(comps, n int) int { return comps * n }
 // ClusterInstrs builds `comps` disjoint circulant clusters of `per` values
 // each, instruction width `width`: instruction i of a cluster reads values
 // i..i+width-1 (mod per). Every cluster is one dense connected component and
-// one atom, so the stream exposes exactly comps-way parallelism to both the
-// per-atom coloring pool and the per-component duplication pool while each
-// cluster stays conflict-heavy enough that the searches dominate. comps is
-// the component-count knob, width the density knob.
+// one atom, so the stream exposes exactly comps independent components while
+// each cluster stays conflict-heavy enough that the searches dominate. comps
+// is the component-count knob, width the density knob.
 func ClusterInstrs(comps, per, width int) [][]int {
 	out := make([][]int, 0, comps*per)
 	for c := 0; c < comps; c++ {

@@ -35,8 +35,9 @@ type scalingCorpus struct {
 
 // scalingCorpora returns the assignment workloads of the scaling sweep:
 //
-//   - clusters: 16 disjoint circulant cliques — component-level parallelism
-//     for both the coloring and the duplication pool, searches dominant.
+//   - clusters: 16 disjoint 14-value circulant cliques — below the
+//     decomposition's fan-out floor, so every width runs the same
+//     sequential engine; searches dominant.
 //   - chains: 8 disjoint 400-node chain-of-cliques components — wide, sparse,
 //     graph-phase dominant, still on the flat bitset.
 //   - blocked3k: one 2600-node chain past the flat-bitset ceiling — the
