@@ -52,7 +52,9 @@ fanout:
 # graph.Dense: no non-test file of assign, coloring or gateway may build,
 # convert or induce a map graph, and atoms and alloccache may convert one
 # only in the graph-taking wrappers the benchmark compiles against
-# (atoms.DecomposeParallel, alloccache.CanonicalHash).
+# (atoms.DecomposeParallel, alloccache.CanonicalHash). It also keeps the
+# engine's conflict graphs on one constructor: no non-test file of assign
+# may call conflict.Snapshot outside buildConflict.
 MAPGRAPH_CALLS = graph\.New\(|graph\.FromGraph|\.Induced\(|\.InducedGraph\(
 MAPGRAPH_WRAPPERS = ^internal/atoms/atoms\.go:[0-9]+:[[:space:]]*return Decompose\(graph\.FromGraph\(g\), workers\)$$|^internal/alloccache/alloccache\.go:[0-9]+:[[:space:]]*return CanonicalHashDense\(graph\.FromGraph\(g\)\)$$
 
@@ -60,6 +62,9 @@ boundary:
 	@out=$$(grep -nE '$(MAPGRAPH_CALLS)' $$(ls internal/assign/*.go internal/coloring/*.go internal/gateway/*.go \
 		internal/atoms/*.go internal/alloccache/*.go | grep -v '_test\.go$$') | grep -vE '$(MAPGRAPH_WRAPPERS)'); \
 	if [ -n "$$out" ]; then echo "map-graph calls inside the engine:"; echo "$$out"; exit 1; fi
+	@out=$$(awk '/^func /{fn=$$0} /conflict\.Snapshot\(/ && fn !~ /\) buildConflict\(/{print FILENAME":"FNR": "$$0}' \
+		$$(ls internal/assign/*.go | grep -v '_test\.go$$')); \
+	if [ -n "$$out" ]; then echo "conflict.Snapshot calls outside buildConflict:"; echo "$$out"; exit 1; fi
 
 # check is the CI gate: static analysis, the map-graph boundary, the full
 # suite under the race detector, the fan-out rerun, and the nested

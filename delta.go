@@ -11,10 +11,10 @@ import (
 // Incremental recompilation: AssignValuesIncremental compiles a program
 // once while retaining per-component state, and AssignValuesDelta
 // recompiles after an edit touching only the dirty region — the conflict
-// components reachable from the edited instructions' values. The frozen
-// dense conflict-graph snapshot is patched edge-by-edge, untouched
-// components reuse their prior colorings and copy tables verbatim, and the
-// resulting Allocation is bit-identical to a cold full recompile of the
+// components reachable from the edited instructions' values. The dirty
+// components' conflict graph is built from their own instructions,
+// untouched components reuse their prior colorings and copy tables
+// verbatim, and the resulting Allocation is bit-identical to a cold full recompile of the
 // edited program (Phases excepted: its timings and budget charges reflect
 // the incremental work actually done).
 
@@ -33,7 +33,7 @@ type ChangedInstruction = assign.ChangedInstr
 type IncrementalStats = assign.IncrStats
 
 // AssignResult is an allocation plus the retained incremental state a
-// later AssignValuesDelta patches against. Results are immutable: applying
+// later AssignValuesDelta stitches against. Results are immutable: applying
 // a delta returns a fresh result and leaves the base valid, so several
 // speculative edits can fork from one base concurrently.
 type AssignResult struct {
@@ -89,10 +89,10 @@ func (cfg AssignConfig) engineOptions(ctx context.Context) assign.Options {
 }
 
 // AssignValuesIncremental is AssignValues plus retained state: the
-// returned result holds the frozen conflict-graph snapshot and
-// per-component records that make later AssignValuesDelta calls scale
-// with the edit, not the program. The allocation itself is bit-identical
-// to AssignValues' for the same inputs.
+// returned result holds the instruction stream and per-component records
+// that make later AssignValuesDelta calls scale with the edit, not the
+// program. The allocation itself is bit-identical to AssignValues' for the
+// same inputs.
 //
 // Only STOR1 (the default strategy) supports incremental recompilation;
 // other strategies are rejected with a *ConfigError.
@@ -116,10 +116,10 @@ func AssignValuesIncremental(ctx context.Context, instrs []Instruction, cfg Assi
 }
 
 // AssignValuesDelta applies delta to prev's instruction stream and
-// recompiles incrementally: the dense conflict-graph snapshot is patched
-// in place-or-copy, only the conflict components containing an edited
-// value re-run decomposition, coloring and duplication, and untouched
-// components' results are stitched from prev. The returned allocation is
+// recompiles incrementally: only the conflict components containing an
+// edited value re-run the conflict-graph build, decomposition, coloring
+// and duplication, and untouched components' results are stitched from
+// prev. The returned allocation is
 // bit-identical to a cold AssignValues of the edited stream whenever the
 // budget is not exhausted mid-run; res.Incremental reports what was
 // reused.

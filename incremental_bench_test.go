@@ -9,10 +9,11 @@ package parmem
 // delta=1 on the 3200-node chains workload runs in at most 1/5 of the full
 // recompile time (incr_speedup >= 5).
 //
-// Each delta op patches against the SAME retained base (results are
-// immutable, deltas fork), editing a fixed set of instruction indices, so
-// every iteration performs identical work: patch the dense snapshot,
-// recompute the dirty components, stitch the rest from the base. No cache
+// Each delta op forks from the SAME retained base (results are immutable),
+// editing a fixed set of instruction indices, so every iteration performs
+// identical work: partition the edited stream, build the dirty
+// components' conflict graph, recompute them, stitch the rest from the
+// base. No cache
 // is configured — the reuse measured is structural, not memoized.
 
 import (

@@ -1,12 +1,12 @@
 package parmem
 
 // Differential testing of the incremental recompilation engine: every
-// delta-patched allocation must be bit-identical to a cold full recompile
+// delta allocation must be bit-identical to a cold full recompile
 // of the edited instruction stream — across random edit sequences that
 // add, remove and change instructions (including edits that split and
 // merge conflict components), at workers=1 and workers=4, and across the
-// flat, blocked and CSR bitset representations of the patched dense
-// snapshot. Phases are excluded from the comparison: an incremental run
+// flat, blocked and CSR bitset representations of the dirty region's
+// dense snapshot. Phases are excluded from the comparison: an incremental run
 // honestly reports the (smaller) work it did, everything else must match
 // bit for bit.
 

@@ -386,11 +386,14 @@ func (st *phaseState) end() {
 // returns the coloring, the values it removed (sorted) and the atoms it
 // colored (nil when decomposition is disabled).
 func (st *phaseState) colorPhase(g *graph.Dense, opt Options) (map[int]int, []int, []atoms.Atom) {
-	// Arena scope for the phase-local views (precoloring, the colorable
-	// sub-snapshot); the returned assignment escapes and stays fresh.
+	// Arena scope for the colorable sub-snapshot; the returned assignment
+	// escapes and stays fresh. The precoloring is a plain map, sized by the
+	// values it holds: a graph-sized map parked in the arena would come
+	// back as some later atom's precoloring map, and every reuse clears it
+	// at the cost of its whole capacity.
 	sc := arena.Get()
 	defer sc.Release()
-	pre := sc.IntMap(g.N())
+	pre := map[int]int{}
 	keep := sc.Int32s(g.N())[:0]
 	for i, v := range g.IDs() {
 		s := st.copies[v]
@@ -501,15 +504,16 @@ func (st *phaseState) finish() Allocation {
 	return al
 }
 
-// buildConflict builds the conflict-graph snapshot of instrs, in fresh
-// storage (an incremental state keeps it), with a span and the
-// conflict-graph volume counters, attributing the build to the named
-// phase.
-func (st *phaseState) buildConflict(name string, instrs []conflict.Instruction) *graph.Dense {
-	sp := st.rec.StartSpan("conflict", st.root)
+// buildConflict builds the conflict-graph snapshot of instrs, with a span
+// under parent and the conflict-graph volume counters, attributing the
+// build to the current phase. It is the engine's one conflict-graph build. The snapshot
+// gets fresh storage, not a solve's arena scratch: the arena keeps what it
+// is handed, and the whole-stream graphs are its largest buffers.
+func (st *phaseState) buildConflict(instrs []conflict.Instruction, parent *telemetry.Span) *graph.Dense {
+	sp := st.rec.StartSpan("conflict", parent)
 	g := conflict.Snapshot(instrs, nil)
 	if sp != nil {
-		sp.SetAttrStr("phase", name)
+		sp.SetAttrStr("phase", st.phase)
 		sp.SetAttr("nodes", int64(g.N()))
 		sp.SetAttr("edges", int64(g.NumEdges()))
 		sp.End()
@@ -519,13 +523,12 @@ func (st *phaseState) buildConflict(name string, instrs []conflict.Instruction) 
 	return g
 }
 
-// solvePhase builds the conflict graph of instrs and solves it as the
-// named phase: the stream as one piece, with no records and so no comp
-// lookups (an Assign's whole-assignment key already covers repeats).
+// solvePhase solves instrs as the named phase: the stream as one piece,
+// with no records and so no comp lookups (an Assign's whole-assignment key
+// already covers repeats).
 func (st *phaseState) solvePhase(name string, instrs []conflict.Instruction, opt Options) error {
-	g := st.buildConflict(name, instrs)
 	return st.inPhase(name, opt.Method.String(), func(rep *PhaseReport) error {
-		fb, err := st.solve(solveInput{instrs: instrs, g: g, spans: solveSpans{parent: st.span, dup: "duplicate"}}, opt, &IncrStats{})
+		fb, err := st.solve(solveInput{instrs: instrs, spans: solveSpans{parent: st.span, dup: "duplicate"}}, opt, &IncrStats{})
 		rep.Fallback = fb
 		if err != nil {
 			return st.solveError(name, err)
@@ -559,7 +562,7 @@ func assignSTOR2(st *phaseState, p Program, opt Options) error {
 			}
 			globals[i] = flat[start:len(flat):len(flat)]
 		}
-		globalGraph := conflict.Snapshot(globals, sc)
+		globalGraph := st.buildConflict(globals, st.span)
 		assignMap, unassigned, dec := st.colorPhase(globalGraph, opt)
 		st.atoms += len(dec)
 		for v, m := range assignMap {
@@ -572,8 +575,6 @@ func assignSTOR2(st *phaseState, p Program, opt Options) error {
 		if st.span != nil {
 			st.span.SetAttr("nodes_colored", int64(len(assignMap)))
 			st.span.SetAttr("unassigned", int64(len(unassigned)))
-			st.rec.Counter(telemetry.MConflictNodes).Add(int64(globalGraph.N()))
-			st.rec.Counter(telemetry.MConflictEdges).Add(int64(globalGraph.NumEdges()))
 		}
 		return nil
 	})

@@ -3,14 +3,13 @@ package assign
 // The assignment engine. One solve serves every entry point and every
 // phase. Every instruction's operands form a clique, so each instruction
 // lives in exactly one connected component of the conflict graph, and both
-// the coloring pipeline and the duplication cores are component-local (the
-// invariant the parallel engine of duplication's partition.go is built
-// on). A cold Assign(STOR1) is the case where every component is dirty and
+// the coloring pipeline and the duplication cores are component-local. A
+// cold Assign(STOR1) is the case where every component is dirty and
 // nothing is retained; AssignIncremental additionally keeps the
-// per-component records; AssignDelta patches the frozen Dense snapshot per
-// edited edge, reuses the records of untouched components, and re-solves
-// only the dirty ones. Either way the remaining components are colored in
-// one pass, duplicated in one cores call, and one global
+// per-component records; AssignDelta reuses the records of untouched
+// components and re-solves only the dirty ones, on the conflict graph of
+// their own instructions. Either way the remaining components are colored
+// in one pass, duplicated in one cores call, and one global
 // duplication.Finish (per-module load is a whole-program quantity)
 // completes an allocation bit-identical to a full recompile. A phase of
 // STOR2, STOR3 or PerRegion is the same solve over its own instructions,
@@ -24,7 +23,6 @@ import (
 	"time"
 
 	"parmem/internal/alloccache"
-	"parmem/internal/arena"
 	"parmem/internal/atoms"
 	"parmem/internal/budget"
 	"parmem/internal/conflict"
@@ -86,14 +84,11 @@ type compRecord struct {
 }
 
 // IncrState is the retained state of an incremental assignment: the exact
-// instruction stream, the frozen (patched) Dense snapshot of its conflict
-// graph, per-value instruction refcounts, and the per-component records.
-// It is immutable — AssignDelta returns a fresh state and never mutates
-// its input, so concurrent deltas against one base are safe.
+// instruction stream and the per-component records. It is immutable —
+// AssignDelta returns a fresh state and never mutates its input, so
+// concurrent deltas against one base are safe.
 type IncrState struct {
 	instrs []conflict.Instruction
-	dense  *graph.Dense
-	valRef map[int]int // value -> number of instructions using it
 	comps  []*compRecord
 	sig    string // option fingerprint the records are valid under
 	// usable is false when the prior result was budget-dependent (degraded
@@ -258,7 +253,6 @@ type solveInput struct {
 	// lists the records still to solve — all of comps on a cold run — and
 	// the rest carry their results already.
 	comps, dirty []*compRecord
-	g            *graph.Dense // the whole conflict graph: built, or a delta's patched one
 	spans        solveSpans
 }
 
@@ -282,11 +276,17 @@ func (st *phaseState) stage(name string, parent *telemetry.Span) *telemetry.Span
 
 // solve is the one assignment pipeline: every STOR1 entry point, every
 // STOR2 and PerRegion region and every STOR3 group runs it. It serves what
-// dirty components it can from the "comp" cache level, colors the union of
-// the rest in one colorPhase (on g itself when it solves every component,
-// else on their sub-snapshot of g),
-// duplicates them in one cores call, splits the result into their records,
-// and finishes the whole stream once.
+// dirty components it can from the "comp" cache level, builds the conflict
+// graph of the instructions left to color — the whole stream when every
+// component is pending, else the pending components' instructions — colors
+// it in one colorPhase, duplicates it in one cores call, splits the result
+// into the pending records, and finishes the whole stream once.
+//
+// Every edge of the conflict graph comes from one instruction and every
+// instruction lies inside one component, so the graph of the pending
+// components' instructions is the whole graph induced on their values:
+// ids still ascend and the bitset form still follows the vertex count, and
+// the allocation is the one a whole-stream build gives.
 //
 // The allocation state in st is the rest of the input: its single-copy
 // values precolor the coloring, its copies are the duplication's Initial,
@@ -298,8 +298,6 @@ func (st *phaseState) stage(name string, parent *telemetry.Span) *telemetry.Span
 // returned as a *residualError. The accepted allocation lands in st; the
 // returned fallback is "" when every core completed its primary strategy.
 func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string, error) {
-	sc := arena.Get() // the pending components' sub-snapshot
-	defer sc.Release()
 	pending := s.dirty
 	if s.comps != nil && opt.Cache != nil {
 		pending = nil
@@ -314,27 +312,22 @@ func (st *phaseState) solve(s solveInput, opt Options, stats *IncrStats) (string
 		}
 	}
 
+	instrs := s.instrs
+	var g *graph.Dense
+	switch {
+	case s.comps == nil || len(pending) == len(s.comps):
+		g = st.buildConflict(instrs, s.spans.parent)
+	case len(pending) > 0:
+		instrs = nil
+		for _, rec := range pending {
+			instrs = append(instrs, rec.instrs...)
+		}
+		g = st.buildConflict(instrs, s.spans.parent)
+	}
 	csp := st.stage(s.spans.color, s.spans.parent)
 	st.span = s.spans.parent
 	if csp != nil {
 		st.span = csp
-	}
-	instrs, g := s.instrs, s.g
-	if s.comps != nil && len(pending) < len(s.comps) {
-		instrs, g = nil, nil
-		var values []int
-		for _, rec := range pending {
-			instrs = append(instrs, rec.instrs...)
-			values = append(values, rec.values...)
-		}
-		if len(pending) > 0 {
-			sort.Ints(values)
-			idx := sc.Int32s(len(values))
-			for i, v := range values {
-				idx[i] = s.g.Index(v)
-			}
-			g = s.g.Sub(idx, sc)
-		}
 	}
 	var assigned map[int]int
 	var unassigned []int
@@ -531,8 +524,8 @@ func (st *phaseState) solveError(prefix string, err error) error {
 
 // AssignIncremental is the cold entry of the incremental engine: it solves
 // p like Assign(STOR1) — the result is bit-identical — while also
-// retaining the per-component records, refcounts, and frozen snapshot a
-// later AssignDelta stitches against.
+// retaining the per-component records a later AssignDelta stitches
+// against.
 func AssignIncremental(p Program, opt Options) (al Allocation, state *IncrState, stats IncrStats, err error) {
 	st := newPhaseState()
 	st.phase = "incremental/validate"
@@ -563,22 +556,15 @@ func incrSpans(root *telemetry.Span) solveSpans {
 }
 
 // solveCold solves instrs with every component dirty, retaining the
-// records, refcounts and snapshot the next delta stitches against.
+// records the next delta stitches against.
 func (st *phaseState) solveCold(instrs []conflict.Instruction, opt Options, stats *IncrStats) (Allocation, *IncrState, error) {
 	start := time.Now()
 	nodes0 := st.meter.Spent()
 	st.phase = "incremental/cold"
 	own := append([]conflict.Instruction(nil), instrs...)
-	g := st.buildConflict("incremental", own)
-	valRef := map[int]int{}
-	for _, instr := range own {
-		for _, v := range instr.Normalize() {
-			valRef[v]++
-		}
-	}
 	comps := partitionInstrs(own)
 	*stats = IncrStats{Components: len(comps), Dirty: len(comps), Full: true}
-	fb, err := st.solve(solveInput{instrs: own, comps: comps, dirty: comps, g: g, spans: incrSpans(st.root)}, opt, stats)
+	fb, err := st.solve(solveInput{instrs: own, comps: comps, dirty: comps, spans: incrSpans(st.root)}, opt, stats)
 	if err != nil {
 		return Allocation{}, nil, st.solveError("incremental", err)
 	}
@@ -593,8 +579,6 @@ func (st *phaseState) solveCold(instrs []conflict.Instruction, opt Options, stat
 	}}
 	state := &IncrState{
 		instrs: own,
-		dense:  g,
-		valRef: valRef,
 		comps:  comps,
 		sig:    incrSig(opt),
 		usable: fb == "" && !st.meter.Exhausted(),
@@ -663,53 +647,6 @@ func applyDelta(prev []conflict.Instruction, d Delta) ([]conflict.Instruction, m
 	return next, touched, nil
 }
 
-// deltaGraphEdits derives the conflict-graph edit from the instruction
-// delta: per-pair weight adjustments (co-occurrence counts) plus the value
-// refcount updates that decide node insertion and removal. newRef is the
-// updated refcount map (fresh — prev's map is not mutated).
-func deltaGraphEdits(prevRef map[int]int, d Delta, prev []conflict.Instruction) (wds []graph.WeightDelta, addNodes, dropNodes []int, newRef map[int]int) {
-	newRef = make(map[int]int, len(prevRef))
-	for v, c := range prevRef {
-		newRef[v] = c
-	}
-	apply := func(instr conflict.Instruction, sign int) {
-		ops := instr.Normalize()
-		for _, v := range ops {
-			newRef[v] += sign
-		}
-		for i := 0; i < len(ops); i++ {
-			for j := i + 1; j < len(ops); j++ {
-				wds = append(wds, graph.WeightDelta{U: ops[i], V: ops[j], DW: int32(sign)})
-			}
-		}
-	}
-	for _, i := range d.Removed {
-		apply(prev[i], -1)
-	}
-	for _, c := range d.Changed {
-		apply(prev[c.Index], -1)
-		apply(c.Instr, +1)
-	}
-	for _, instr := range d.Added {
-		apply(instr, +1)
-	}
-	for v, c := range newRef {
-		pc := prevRef[v]
-		switch {
-		case pc == 0 && c > 0:
-			addNodes = append(addNodes, v)
-		case pc > 0 && c <= 0:
-			dropNodes = append(dropNodes, v)
-			delete(newRef, v)
-		case c <= 0:
-			delete(newRef, v)
-		}
-	}
-	sort.Ints(addNodes)
-	sort.Ints(dropNodes)
-	return wds, addNodes, dropNodes, newRef
-}
-
 // instrsEqual reports whether two instruction sequences are identical.
 func instrsEqual(a, b []conflict.Instruction) bool {
 	if len(a) != len(b) {
@@ -729,12 +666,12 @@ func instrsEqual(a, b []conflict.Instruction) bool {
 }
 
 // AssignDelta applies d to the program held by prev and recompiles
-// incrementally: the Dense snapshot is patched, components containing no
-// touched value reuse their prior records, and only the dirty region
-// re-runs the pipeline. The returned Allocation is bit-identical to a cold
-// recompile of the edited program (Phases excepted — its timings and
-// budget charges honestly reflect the incremental work). prev is never
-// mutated; the returned state supersedes it.
+// incrementally: components containing no touched value reuse their prior
+// records, and only the dirty region — its conflict graph built from its
+// own instructions — re-runs the pipeline. The returned Allocation is
+// bit-identical to a cold recompile of the edited program (Phases excepted
+// — its timings and budget charges honestly reflect the incremental work).
+// prev is never mutated; the returned state supersedes it.
 func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *IncrState, stats IncrStats, err error) {
 	st := newPhaseState()
 	st.phase = "delta/validate"
@@ -765,7 +702,7 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 	// A prior result produced under different options, or one that was
 	// budget-dependent, cannot seed reuse: recompile in full (the fresh
 	// state makes the next delta incremental again).
-	if !prev.usable || prev.sig != incrSig(opt) || prev.dense == nil {
+	if !prev.usable || prev.sig != incrSig(opt) {
 		st.rec.Counter(telemetry.MIncrFull).Inc()
 		al, state, err = st.solveCold(next, opt, &stats)
 		return al, state, stats, err
@@ -773,17 +710,6 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 
 	start := time.Now()
 	nodes0 := st.meter.Spent()
-	st.phase = "delta/patch"
-	wds, addNodes, dropNodes, newRef := deltaGraphEdits(prev.valRef, d, prev.instrs)
-	psp := st.rec.StartSpan("incr_patch", st.root)
-	snap := prev.dense.Patch(wds, addNodes, dropNodes)
-	if psp != nil {
-		psp.SetAttr("edge_deltas", int64(len(wds)))
-		psp.SetAttr("nodes_added", int64(len(addNodes)))
-		psp.SetAttr("nodes_dropped", int64(len(dropNodes)))
-		psp.End()
-	}
-
 	// Dirty-region rule: a component is reusable iff it contains no
 	// touched value AND the prior run had a component with the identical
 	// value set (any edited instruction inside a component marks all its
@@ -792,6 +718,9 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 	// comparison is a structural guard — the value-set match already
 	// implies it for untouched components.
 	st.phase = "delta/partition"
+	// incr_patch times the partition and the match; trace readers key delta
+	// runs on its name.
+	psp := st.rec.StartSpan("incr_patch", st.root)
 	comps := partitionInstrs(next)
 	stats.Components = len(comps)
 	prevByValues := make(map[string]*compRecord, len(prev.comps))
@@ -817,11 +746,13 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 		dirty = append(dirty, rec)
 	}
 	stats.Dirty = len(dirty)
+	psp.SetAttr("touched", int64(len(touched)))
+	psp.End()
 	st.rec.Counter(telemetry.MIncrDirty).Add(int64(stats.Dirty))
 	st.rec.Counter(telemetry.MIncrReused).Add(int64(stats.Reused))
 
 	st.phase = "delta/solve"
-	fb, err := st.solve(solveInput{instrs: next, comps: comps, dirty: dirty, g: snap, spans: incrSpans(st.root)}, opt, &stats)
+	fb, err := st.solve(solveInput{instrs: next, comps: comps, dirty: dirty, spans: incrSpans(st.root)}, opt, &stats)
 	var re *residualError
 	if errors.As(err, &re) {
 		// A residual after the stitch: do not trust it; re-solve cold from
@@ -850,8 +781,6 @@ func AssignDelta(prev *IncrState, d Delta, opt Options) (al Allocation, state *I
 	}
 	state = &IncrState{
 		instrs: next,
-		dense:  snap,
-		valRef: newRef,
 		comps:  comps,
 		sig:    prev.sig,
 		usable: fb == "" && !st.meter.Exhausted(),

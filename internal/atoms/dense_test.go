@@ -69,27 +69,3 @@ func TestDecomposeDenseMatchesRef(t *testing.T) {
 		}
 	}
 }
-
-// TestDecomposeParallelRefMatches pins the parallel reference path to the
-// sequential reference path.
-func TestDecomposeParallelRefMatches(t *testing.T) {
-	r := rand.New(rand.NewSource(12))
-	// Several components to actually exercise the fan-out.
-	g := graph.New()
-	base := 0
-	for c := 0; c < 5; c++ {
-		for i := 0; i < 6; i++ {
-			for j := i + 1; j < 6; j++ {
-				if r.Float64() < 0.5 {
-					g.AddEdge(base+i, base+j, 1)
-				}
-			}
-		}
-		base += 10
-	}
-	want := oracle.DecomposeRef(g)
-	got := oracle.DecomposeParallelRef(g, 4)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel ref decomposition diverged")
-	}
-}

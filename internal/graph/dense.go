@@ -11,8 +11,8 @@ import (
 // Dense is a frozen, cache-friendly snapshot of a graph, built once and then
 // read by the hot phases (MCS-M ordering, urgency coloring, clique checks).
 // FromPairs builds one (conflict.Snapshot feeds it straight from an
-// instruction stream, FromGraph from a map graph), Sub extracts the
-// induced sub-snapshot of an index set, and Patch applies an edit.
+// instruction stream, FromGraph from a map graph), and Sub extracts the
+// induced sub-snapshot of an index set.
 //
 // Vertices are remapped onto the dense index range [0,n) in ascending
 // original-id order, so index order and id order agree and every tie-break

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -207,3 +208,98 @@ func BenchmarkDenseVsMap(b *testing.B) {
 }
 
 var sink int
+
+// equalDense asserts every internal array of got matches a cold FromGraph
+// build — not just observable behavior, so a derived snapshot is
+// structurally indistinguishable from a rebuild (the property the canonical
+// hash machinery and the word kernels rely on).
+func equalDense(t *testing.T, got, want *Dense) {
+	t.Helper()
+	if !reflect.DeepEqual(got.ids, want.ids) {
+		t.Fatalf("ids: got %v want %v", got.ids, want.ids)
+	}
+	if !reflect.DeepEqual(got.off, want.off) {
+		t.Fatalf("off mismatch")
+	}
+	if !reflect.DeepEqual(got.nbr, want.nbr) {
+		t.Fatalf("nbr: got %v want %v", got.nbr, want.nbr)
+	}
+	if !reflect.DeepEqual(got.wt, want.wt) {
+		t.Fatalf("wt: got %v want %v", got.wt, want.wt)
+	}
+	if got.numEdges != want.numEdges {
+		t.Fatalf("numEdges: got %d want %d", got.numEdges, want.numEdges)
+	}
+	if got.BitsetKind() != want.BitsetKind() {
+		t.Fatalf("bitset kind: got %s want %s", got.BitsetKind(), want.BitsetKind())
+	}
+	if !reflect.DeepEqual(got.bits, want.bits) {
+		t.Fatalf("flat bits mismatch")
+	}
+	if !reflect.DeepEqual(got.summary, want.summary) {
+		t.Fatalf("blocked summary mismatch")
+	}
+	if !reflect.DeepEqual(got.blockRef, want.blockRef) {
+		t.Fatalf("blocked blockRef mismatch")
+	}
+	if !reflect.DeepEqual(got.blockWords, want.blockWords) {
+		t.Fatalf("blocked blockWords mismatch")
+	}
+}
+
+// TestDenseSub checks Sub against Graph.Induced on the source graph, under
+// all three bitset forms: the sub-snapshot must be structurally identical
+// to a cold FromGraph of the induced map graph, so its degrees, weight rows
+// and bitset rows are the induced ones.
+func TestDenseSub(t *testing.T) {
+	for _, kind := range []struct{ flat, blocked int }{
+		{DenseBitsetMaxN, BlockedBitsetMaxN}, {4, BlockedBitsetMaxN}, {0, 0},
+	} {
+		restore := SetBitsetCeilings(kind.flat, kind.blocked)
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 40; trial++ {
+			g := New()
+			n := 4 + rng.Intn(20)
+			for v := 0; v < n; v++ {
+				g.AddNode(3 * v)
+			}
+			for e := 0; e < 3*n; e++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				if u != v {
+					g.AddEdgeWeight(3*u, 3*v, 1+rng.Intn(2))
+				}
+			}
+			d := FromGraph(g)
+			var idx []int32
+			var keep []int
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					idx = append(idx, int32(i))
+					keep = append(keep, d.ID(int32(i)))
+				}
+			}
+			equalDense(t, d.Sub(idx, nil), FromGraph(g.Induced(keep)))
+		}
+		restore()
+	}
+}
+
+// TestDenseComponents checks Components against Graph.ConnectedComponents.
+func TestDenseComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 40; trial++ {
+		g := randomIDGraph(rng, rng.Intn(30), 0.08)
+		d := FromGraph(g)
+		var got [][]int
+		for _, comp := range d.Components() {
+			var ids []int
+			for _, i := range comp {
+				ids = append(ids, d.ID(i))
+			}
+			got = append(got, ids)
+		}
+		if want := g.ConnectedComponents(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: components %v, want %v", trial, got, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"sort"
-	"sync"
 
 	"parmem/internal/atoms"
 	"parmem/internal/graph"
@@ -113,32 +112,6 @@ func DecomposeRef(g *graph.Graph) atoms.Decomposition {
 	var d atoms.Decomposition
 	for _, comp := range g.ConnectedComponents() {
 		decomposeConnectedRef(g.Induced(comp), &d)
-	}
-	return d
-}
-
-// DecomposeParallelRef is DecomposeRef with the components decomposed on
-// at most workers goroutines and merged in component order.
-func DecomposeParallelRef(g *graph.Graph, workers int) atoms.Decomposition {
-	comps := g.ConnectedComponents()
-	parts := make([]atoms.Decomposition, len(comps))
-	sem := make(chan struct{}, max(workers, 1))
-	var wg sync.WaitGroup
-	for i, comp := range comps {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, comp []int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			decomposeConnectedRef(g.Induced(comp), &parts[i])
-		}(i, comp)
-	}
-	wg.Wait()
-	var d atoms.Decomposition
-	for _, p := range parts {
-		d.Atoms = append(d.Atoms, p.Atoms...)
-		d.Separators = append(d.Separators, p.Separators...)
-		d.Fill += p.Fill
 	}
 	return d
 }

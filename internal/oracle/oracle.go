@@ -8,8 +8,8 @@
 // It holds four kinds of code:
 //
 //   - the map-graph originals of the hot phases: MCS-M and clique-separator
-//     decomposition (MCSMRef, DecomposeRef, DecomposeParallelRef), the
-//     urgency coloring of paper Fig. 4 (GuptaSoffaMap) and the SDR check
+//     decomposition (MCSMRef, DecomposeRef, both sequential), the urgency
+//     coloring of paper Fig. 4 (GuptaSoffaMap) and the SDR check
 //     (HasSDRRef);
 //   - the adapter between the two representations: ToGraph copies a
 //     snapshot or sub-snapshot into a map graph, and DecomposeSnapshot and
@@ -45,10 +45,11 @@ func ToGraph(d *graph.Dense) *graph.Graph {
 	return g
 }
 
-// DecomposeSnapshot runs DecomposeParallelRef on ToGraph(d). Its signature
-// matches atoms.Decompose, so assign.SetBackends can swap it in.
-func DecomposeSnapshot(d *graph.Dense, workers int) atoms.Decomposition {
-	return DecomposeParallelRef(ToGraph(d), workers)
+// DecomposeSnapshot runs DecomposeRef on ToGraph(d). Its signature matches
+// atoms.Decompose, so assign.SetBackends can swap it in; workers is
+// ignored, because the worker count never changes a decomposition.
+func DecomposeSnapshot(d *graph.Dense, _ int) atoms.Decomposition {
+	return DecomposeRef(ToGraph(d))
 }
 
 // ColorSnapshot runs GuptaSoffaMap on ToGraph(d). Its signature matches

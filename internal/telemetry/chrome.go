@@ -10,8 +10,8 @@ import (
 
 // ChromeSink collects spans and writes them as a Chrome trace_event JSON
 // document loadable in chrome://tracing and Perfetto. Spans become "X"
-// (complete) events; each lane becomes a thread, named through "M"
-// (metadata) events, so worker-pool activity renders as parallel tracks.
+// (complete) events on one thread, the "pipeline", which "M" (metadata)
+// events name along with the process.
 type ChromeSink struct {
 	mu    sync.Mutex
 	spans []*Span
@@ -37,7 +37,7 @@ type chromeEvent struct {
 	Ts   int64          `json:"ts"`
 	Dur  *int64         `json:"dur,omitempty"` // pointer so dur 0 still prints for X events
 	Pid  int64          `json:"pid"`
-	Tid  int64          `json:"tid"`
+	Tid  int64          `json:"tid"` // always 0, the pipeline thread
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -59,31 +59,14 @@ func (c *ChromeSink) Write(w io.Writer) error {
 	copy(spans, c.spans)
 	c.mu.Unlock()
 
-	lanes := map[int64]bool{}
-	for _, s := range spans {
-		lanes[s.Lane] = true
-	}
-	laneIDs := make([]int64, 0, len(lanes))
-	for l := range lanes {
-		laneIDs = append(laneIDs, l)
-	}
-	sort.Slice(laneIDs, func(i, j int) bool { return laneIDs[i] < laneIDs[j] })
-
-	events := make([]chromeEvent, 0, len(spans)+len(laneIDs)+1)
+	events := make([]chromeEvent, 0, len(spans)+2)
 	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
+		Name: "process_name", Ph: "M", Pid: chromePid,
 		Args: map[string]any{"name": "parmem"},
+	}, chromeEvent{
+		Name: "thread_name", Ph: "M", Pid: chromePid,
+		Args: map[string]any{"name": "pipeline"},
 	})
-	for _, l := range laneIDs {
-		name := "pipeline"
-		if l != 0 {
-			name = laneName(l)
-		}
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: l,
-			Args: map[string]any{"name": name},
-		})
-	}
 
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
@@ -107,27 +90,13 @@ func (c *ChromeSink) Write(w io.Writer) error {
 		events = append(events, chromeEvent{
 			Name: s.Name, Cat: "parmem", Ph: "X",
 			Ts: s.Start.Microseconds(), Dur: &dur,
-			Pid: chromePid, Tid: s.Lane, Args: args,
+			Pid: chromePid, Args: args,
 		})
 	}
 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeDoc{DisplayTimeUnit: "ms", TraceEvents: events})
-}
-
-// laneName renders a worker lane's thread name.
-func laneName(l int64) string {
-	// Small positive lanes only; avoid fmt to keep the import set tight.
-	digits := [20]byte{}
-	i := len(digits)
-	n := l
-	for n > 0 {
-		i--
-		digits[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return "worker-" + string(digits[i:])
 }
 
 // WriteFile writes the document to path.

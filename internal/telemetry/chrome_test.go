@@ -12,18 +12,16 @@ import (
 var update = flag.Bool("update", false, "rewrite the Chrome exporter golden file")
 
 // goldenSpans drives a fixed span tree through a deterministic clock: a
-// compile root on the pipeline lane, an assign phase under it, and two atom
-// colorings on worker lanes — the shape a real parallel run produces.
+// compile root, an assign phase under it, and two atom colorings under
+// that — the shape a real run produces.
 func goldenSpans(rec *Recorder) {
 	root := rec.StartSpan("compile", nil)
 	assign := rec.StartSpan("assign", root)
 	assign.SetAttrStr("strategy", "STOR1")
 	assign.SetAttr("k", 8)
 	a1 := rec.StartSpan("atom", assign)
-	a1.SetLane(1)
 	a1.SetAttr("size", 12)
 	a2 := rec.StartSpan("atom", assign)
-	a2.SetLane(2)
 	a2.SetAttr("size", 7)
 	a2.SetAttrStr("cache", "hit")
 	a2.End()
@@ -72,7 +70,7 @@ func TestChromeGolden(t *testing.T) {
 }
 
 // TestChromeWellFormed checks the structural contract independent of exact
-// bytes: valid JSON, one process, metadata naming every lane, monotonic
+// bytes: valid JSON, one process, metadata naming its one thread, monotonic
 // timestamps, and parent references pointing at emitted spans.
 func TestChromeWellFormed(t *testing.T) {
 	sink := NewChromeSink()
@@ -101,7 +99,7 @@ func TestChromeWellFormed(t *testing.T) {
 		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
 	}
 
-	lanes := map[int64]string{}
+	threads := map[int64]string{}
 	ids := map[float64]bool{}
 	lastTs := int64(-1)
 	sawProcess := false
@@ -115,15 +113,15 @@ func TestChromeWellFormed(t *testing.T) {
 				sawProcess = true
 			}
 			if ev.Name == "thread_name" {
-				lanes[ev.Tid] = ev.Args["name"].(string)
+				threads[ev.Tid] = ev.Args["name"].(string)
 			}
 		case "X":
 			if ev.Ts < lastTs {
 				t.Fatalf("timestamps not monotonic: %d after %d", ev.Ts, lastTs)
 			}
 			lastTs = ev.Ts
-			if _, ok := lanes[ev.Tid]; !ok {
-				t.Fatalf("event %q on unnamed lane %d", ev.Name, ev.Tid)
+			if _, ok := threads[ev.Tid]; !ok {
+				t.Fatalf("event %q on unnamed thread %d", ev.Name, ev.Tid)
 			}
 			ids[ev.Args["id"].(float64)] = true
 		default:
@@ -133,8 +131,8 @@ func TestChromeWellFormed(t *testing.T) {
 	if !sawProcess {
 		t.Fatal("missing process_name metadata")
 	}
-	if lanes[0] != "pipeline" || lanes[1] != "worker-1" || lanes[2] != "worker-2" {
-		t.Fatalf("lane names = %v", lanes)
+	if len(threads) != 1 || threads[0] != "pipeline" {
+		t.Fatalf("thread names = %v, want one pipeline thread", threads)
 	}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {

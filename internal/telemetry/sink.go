@@ -77,7 +77,6 @@ type SpanRecord struct {
 	Trace        string         `json:"trace,omitempty"`
 	RemoteParent string         `json:"remote_parent,omitempty"`
 	RemoteProc   string         `json:"remote_proc,omitempty"`
-	Lane         int64          `json:"lane"`
 	StartUs      int64          `json:"start_us"`
 	DurUs        int64          `json:"dur_us"`
 	Attrs        map[string]any `json:"attrs,omitempty"`
@@ -90,7 +89,6 @@ func MakeSpanRecord(s *Span) SpanRecord {
 		ID:      s.ID,
 		Parent:  s.ParentID,
 		Trace:   s.TraceID(),
-		Lane:    s.Lane,
 		StartUs: s.Start.Microseconds(),
 		DurUs:   s.Dur.Microseconds(),
 		Attrs:   attrMap(s.Attrs),

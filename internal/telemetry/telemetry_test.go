@@ -78,7 +78,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.SetAttr("k", 1)
 	sp.SetAttrStr("k", "v")
-	sp.SetLane(3)
 	sp.End()
 	rec.Counter("c").Inc()
 	rec.Gauge("g").Set(1)
@@ -116,7 +115,6 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 		sp := rec.StartSpan("phase", nil)
 		sp.SetAttr("nodes", 7)
 		sp.SetAttrStr("method", "backtrack")
-		sp.SetLane(1)
 		rec.Counter(MColorings).Inc()
 		rec.Gauge(MBatchInFlight).Add(1)
 		rec.Histogram(MUnassigned).Observe(3)
@@ -137,13 +135,11 @@ func TestConcurrentRecorder(t *testing.T) {
 
 	root := rec.StartSpan("root", nil)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			lane := int64(w + 1)
 			parent := rec.StartSpan("worker", root)
-			parent.SetLane(lane)
 			for i := 0; i < perWorker; i++ {
 				sp := rec.StartSpan("item", parent)
 				sp.SetAttr("i", int64(i))
@@ -155,7 +151,7 @@ func TestConcurrentRecorder(t *testing.T) {
 				sp.End()
 			}
 			parent.End()
-		}(w)
+		}()
 	}
 	wg.Wait()
 	root.End()

@@ -22,9 +22,7 @@ type Attr struct {
 	IsStr bool
 }
 
-// Span is one timed operation. Spans form a tree through ParentID; Lane is
-// the logical execution track (0 = the calling goroutine, workers claim
-// their own), which the Chrome exporter maps to a tid.
+// Span is one timed operation. Spans form a tree through ParentID.
 //
 // TraceHi/TraceLo carry the 128-bit distributed trace id (0 when the span is
 // not part of a cross-process trace); children inherit it from their parent.
@@ -32,7 +30,7 @@ type Attr struct {
 // process's (span, proc) pair as RemoteParent/RemoteProc — span ids are only
 // unique per process, so the pair is what the trace merger resolves.
 //
-// A Span is owned by the goroutine that started it: SetAttr/SetLane/End must
+// A Span is owned by the goroutine that started it: SetAttr/End must
 // not race with each other. After End the span is immutable and may be read
 // by any goroutine (sinks retain pointers).
 type Span struct {
@@ -42,9 +40,8 @@ type Span struct {
 	ParentID     uint64
 	TraceHi      uint64
 	TraceLo      uint64
-	RemoteParent uint64 // span id of the remote parent (0 = none)
-	RemoteProc   uint64 // process id of the remote parent's tracer
-	Lane         int64
+	RemoteParent uint64        // span id of the remote parent (0 = none)
+	RemoteProc   uint64        // process id of the remote parent's tracer
 	Start        time.Duration // monotonic offset from the tracer epoch
 	Dur          time.Duration // set by End
 	Attrs        []Attr
@@ -62,13 +59,6 @@ func (s *Span) SetAttr(key string, v int64) {
 func (s *Span) SetAttrStr(key, v string) {
 	if s != nil {
 		s.Attrs = append(s.Attrs, Attr{Key: key, Str: v, IsStr: true})
-	}
-}
-
-// SetLane moves the span to a worker lane. Safe on a nil receiver.
-func (s *Span) SetLane(lane int64) {
-	if s != nil {
-		s.Lane = lane
 	}
 }
 
@@ -193,7 +183,7 @@ func (t *Tracer) now() time.Duration {
 }
 
 // StartSpan begins a span under parent (nil parent = root). The span
-// inherits the parent's lane and trace id. Safe on a nil Tracer, which
+// inherits the parent's trace id. Safe on a nil Tracer, which
 // returns a nil span.
 func (t *Tracer) StartSpan(name string, parent *Span) *Span {
 	if t == nil {
@@ -202,7 +192,6 @@ func (t *Tracer) StartSpan(name string, parent *Span) *Span {
 	s := &Span{tracer: t, Name: name, ID: t.nextID.Add(1), Start: t.now()}
 	if parent != nil {
 		s.ParentID = parent.ID
-		s.Lane = parent.Lane
 		s.TraceHi, s.TraceLo = parent.TraceHi, parent.TraceLo
 	}
 	t.open.Add(1)

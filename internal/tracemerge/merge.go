@@ -243,7 +243,7 @@ type event struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
 	Pid  int            `json:"pid"`
-	Tid  int64          `json:"tid"`
+	Tid  int64          `json:"tid"` // always 0: one track per process
 	Ts   int64          `json:"ts"`
 	Dur  int64          `json:"dur,omitempty"`
 	ID   string         `json:"id,omitempty"`
@@ -289,7 +289,7 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 				args["remote_parent"] = sp.RemoteProc + "/" + sp.RemoteParent
 			}
 			ev := event{
-				Name: sp.Name, Ph: "X", Pid: pi + 1, Tid: sp.Lane,
+				Name: sp.Name, Ph: "X", Pid: pi + 1,
 				Ts: sp.StartUs + m.Offsets[pi], Dur: sp.DurUs, Args: args,
 			}
 			spans = append(spans, ev)
@@ -320,8 +320,8 @@ func (m *Merged) WriteChrome(w io.Writer) error {
 			fid := strconv.Itoa(flowID)
 			childTs := sp.StartUs + m.Offsets[pi]
 			flows = append(flows,
-				event{Name: "rpc", Ph: "s", Pid: par.Pid, Tid: par.Tid, Ts: par.Ts, ID: fid},
-				event{Name: "rpc", Ph: "f", Pid: pi + 1, Tid: sp.Lane, Ts: childTs, ID: fid},
+				event{Name: "rpc", Ph: "s", Pid: par.Pid, Ts: par.Ts, ID: fid},
+				event{Name: "rpc", Ph: "f", Pid: pi + 1, Ts: childTs, ID: fid},
 			)
 		}
 	}

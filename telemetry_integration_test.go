@@ -85,6 +85,16 @@ func TestCompileTelemetrySpans(t *testing.T) {
 	}
 }
 
+// spanAttr returns the integer attribute key of s (0 when absent).
+func spanAttr(s *TraceSpan, key string) int64 {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Int
+		}
+	}
+	return 0
+}
+
 // assertOneTree fails unless spans form one well-formed tree: unique ids,
 // every ParentID naming an emitted span, and exactly one root, named root.
 func assertOneTree(t *testing.T, spans []*TraceSpan, root string) {
@@ -110,7 +120,8 @@ func assertOneTree(t *testing.T, spans []*TraceSpan, root string) {
 
 // TestIncrementalTelemetryTree: the incremental entry points trace one
 // tree each — the decompose and atom spans of their coloring hang under
-// incr_color instead of surfacing as extra roots.
+// incr_color instead of surfacing as extra roots — and a delta builds the
+// conflict graph of its dirty region only.
 func TestIncrementalTelemetryTree(t *testing.T) {
 	instrs := toInstructions(benchprog.ChainInstrs(2, 60, 4))
 	ring := NewRingSink(1 << 16)
@@ -136,6 +147,13 @@ func TestIncrementalTelemetryTree(t *testing.T) {
 	byName, _ = spanIndex(spans)
 	if len(byName["atom"]) == 0 || len(byName["incr_patch"]) != 1 {
 		t.Fatalf("delta traced %d atom and %d incr_patch spans", len(byName["atom"]), len(byName["incr_patch"]))
+	}
+	// The edit touches one of the two 60-value chains: the delta builds
+	// that chain's graph, not the whole stream's 120 values.
+	if cs := byName["conflict"]; len(cs) != 1 {
+		t.Fatalf("delta traced %d conflict spans, want 1", len(cs))
+	} else if n := spanAttr(cs[0], "nodes"); n != 60 {
+		t.Fatalf("delta built a conflict graph of %d nodes, want 60", n)
 	}
 	assertOneTree(t, spans, "assign_delta")
 }
